@@ -2,7 +2,9 @@
 
 #include <chrono>
 #include <cmath>
+#include <optional>
 #include <unordered_map>
+#include <utility>
 
 #include "common/cancellation.h"
 #include "common/check.h"
@@ -14,7 +16,6 @@
 #include "obs/metrics.h"
 #include "sampling/bernoulli.h"
 #include "sampling/block.h"
-#include "sql/parser.h"
 
 namespace aqp {
 namespace core {
@@ -144,6 +145,24 @@ double MaxRelativeCiHalfWidth(
   return worst;
 }
 
+Result<ApproxResult> PrepareAndRun(
+    std::string_view sql, const Catalog& catalog,
+    obs::QueryTrace* parent_trace,
+    const std::function<Result<ApproxResult>(const sql::PreparedQuery&,
+                                             obs::QueryTrace*)>& run) {
+  std::optional<obs::QueryTrace> own;
+  if (parent_trace == nullptr && obs::Enabled()) own.emplace();
+  obs::QueryTrace* trace = own.has_value() ? &*own : parent_trace;
+  AQP_ASSIGN_OR_RETURN(sql::PreparedQuery query,
+                       sql::PrepareAndBind(sql, catalog, trace));
+  Result<ApproxResult> result = run(query, trace);
+  if (result.ok() && own.has_value()) {
+    own->Finish();
+    result.value().profile.trace = std::move(*own);
+  }
+  return result;
+}
+
 ApproxExecutor::ApproxExecutor(const Catalog* catalog, AqpOptions options)
     : catalog_(catalog), options_(options) {
   AQP_CHECK(catalog != nullptr);
@@ -151,28 +170,26 @@ ApproxExecutor::ApproxExecutor(const Catalog* catalog, AqpOptions options)
 
 Result<ApproxResult> ApproxExecutor::Execute(std::string_view sql,
                                              obs::QueryTrace* parent_trace) {
+  return PrepareAndRun(sql, *catalog_, parent_trace,
+                       [this](const sql::PreparedQuery& query,
+                              obs::QueryTrace* trace) {
+                         return Execute(query, trace);
+                       });
+}
+
+Result<ApproxResult> ApproxExecutor::Execute(const sql::PreparedQuery& query,
+                                             obs::QueryTrace* trace) {
+  AQP_CHECK(query.bound.has_value());
+  const sql::SelectStmt& stmt = query.stmt;
+  const sql::BoundQuery& bound = *query.bound;
   ++invocation_;
   const Clock::time_point start = Clock::now();
   const bool instrumented = obs::Enabled();
 
   ApproxResult result;
   obs::ExecutionProfile& prof = result.profile;
-  prof.query = std::string(sql);
+  prof.query = query.text;
   prof.executor = "online-two-stage";
-  // An externally owned parent trace (service tier) takes precedence over
-  // the profile's local trace so the submission gets one span tree; the
-  // parent's Finish() stays with its owner.
-  const bool external_trace = parent_trace != nullptr;
-  obs::QueryTrace* tr =
-      external_trace ? parent_trace : (instrumented ? &prof.trace : nullptr);
-
-  obs::TraceSpan parse_span = obs::MaybeSpan(tr, "parse");
-  AQP_ASSIGN_OR_RETURN(sql::SelectStmt stmt, sql::Parse(sql));
-  parse_span.End();
-  obs::TraceSpan bind_span = obs::MaybeSpan(tr, "bind");
-  AQP_ASSIGN_OR_RETURN(sql::BoundQuery bound, sql::Bind(stmt, *catalog_));
-  bind_span.End();
-
   if (stmt.error_spec.has_value()) {
     obs::ContractReport contract;
     contract.requested_error = stmt.error_spec->relative_error;
@@ -206,7 +223,6 @@ Result<ApproxResult> ApproxExecutor::Execute(std::string_view sql,
     if (prof.contract.has_value()) {
       prof.contract->achieved_error = prof.estimated_error;
     }
-    if (tr != nullptr && !external_trace) prof.trace.Finish();
     if (instrumented) {
       obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
       static obs::Counter* queries = reg.GetCounter("aqp_queries_total");
@@ -231,10 +247,10 @@ Result<ApproxResult> ApproxExecutor::Execute(std::string_view sql,
     result.approximated = false;
     result.fallback_reason = std::move(reason);
     prof.executor = "exact";
-    obs::TraceSpan exact_span = obs::MaybeSpan(tr, "exact-execute");
+    obs::TraceSpan exact_span = obs::MaybeSpan(trace, "exact-execute");
     AQP_ASSIGN_OR_RETURN(result.table,
                          aqp::Execute(bound.plan, *catalog_,
-                                      &result.exec_stats, tr, options_.exec));
+                                      &result.exec_stats, trace, options_.exec));
     exact_span.End();
     finish();
     return result;
@@ -323,9 +339,9 @@ Result<ApproxResult> ApproxExecutor::Execute(std::string_view sql,
     // Stage-boundary cancellation point: a deadline that fires between the
     // pilot and the final pass stops the query before the expensive stage.
     AQP_RETURN_IF_ERROR(CheckCancelled(options_.exec.cancel));
-    obs::TraceSpan stage_span = obs::MaybeSpan(tr, stage);
+    obs::TraceSpan stage_span = obs::MaybeSpan(trace, stage);
     stage_span.AddAttr("rate", rate);
-    obs::TraceSpan draw_span = obs::MaybeSpan(tr, "draw-sample");
+    obs::TraceSpan draw_span = obs::MaybeSpan(trace, "draw-sample");
     Sample sample;
     ParallelRunStats sampler_stats;
     if (options_.method == SampleSpec::Method::kSystemBlock) {
@@ -362,9 +378,9 @@ Result<ApproxResult> ApproxExecutor::Execute(std::string_view sql,
     ExecStats stats;
     stats.parallel.MergeFrom(sampler_stats);
     AQP_ASSIGN_OR_RETURN(Table flat_out,
-                         aqp::Execute(flat_bound.plan, staged, &stats, tr,
+                         aqp::Execute(flat_bound.plan, staged, &stats, trace,
                                       options_.exec));
-    obs::TraceSpan estimate_span = obs::MaybeSpan(tr, "estimate");
+    obs::TraceSpan estimate_span = obs::MaybeSpan(trace, "estimate");
     AQP_ASSIGN_OR_RETURN(Sample joined,
                          ReconstituteSample(std::move(flat_out), sample));
     AQP_ASSIGN_OR_RETURN(GroupedEstimates estimates,
@@ -410,7 +426,7 @@ Result<ApproxResult> ApproxExecutor::Execute(std::string_view sql,
 
   // ---- Stage 2: plan -----------------------------------------------------
   Clock::time_point t1 = Clock::now();
-  obs::TraceSpan plan_span = obs::MaybeSpan(tr, "plan");
+  obs::TraceSpan plan_span = obs::MaybeSpan(trace, "plan");
   size_t pilot_groups = std::max<size_t>(pilot.first.num_groups, 1);
   size_t num_estimates = pilot_groups * bound.aggregates.size();
   // Composite items split the error budget across their factors.
@@ -459,7 +475,7 @@ Result<ApproxResult> ApproxExecutor::Execute(std::string_view sql,
 
   // Materialize the estimates into the exact query's output shape with
   // per-cell confidence intervals.
-  obs::TraceSpan assemble_span = obs::MaybeSpan(tr, "assemble");
+  obs::TraceSpan assemble_span = obs::MaybeSpan(trace, "assemble");
   AQP_ASSIGN_OR_RETURN(AssembledResult assembled,
                        AssembleOutput(stmt, bound, estimates, *catalog_,
                                       target.confidence));

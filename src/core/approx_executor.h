@@ -1,7 +1,9 @@
 #ifndef AQP_CORE_APPROX_EXECUTOR_H_
 #define AQP_CORE_APPROX_EXECUTOR_H_
 
+#include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -86,6 +88,18 @@ struct ApproxResult {
 double MaxRelativeCiHalfWidth(
     const std::vector<std::vector<stats::ConfidenceInterval>>& cis);
 
+/// The executors' string entry points: prepares `sql` against `catalog` on
+/// the trace the run will use, then calls `run(query, trace)` — the
+/// prepared path. Without a `parent_trace` (and with observability on) the
+/// run traces into a fresh "query" trace, installed into the result's
+/// profile, so a standalone profile still shows its parse and bind spans.
+/// This is the only place a standalone run's trace is owned.
+Result<ApproxResult> PrepareAndRun(
+    std::string_view sql, const Catalog& catalog,
+    obs::QueryTrace* parent_trace,
+    const std::function<Result<ApproxResult>(const sql::PreparedQuery&,
+                                             obs::QueryTrace*)>& run);
+
 /// Two-stage online approximate SQL executor with a-priori error contracts:
 ///
 ///   1. PILOT: block-sample the largest scanned table at a small rate,
@@ -108,18 +122,21 @@ class ApproxExecutor {
   /// `catalog` must outlive the executor.
   ApproxExecutor(const Catalog* catalog, AqpOptions options);
 
-  /// Executes `sql`. Queries without a WITH ERROR clause, without
-  /// aggregates, with non-linear aggregates (MIN/MAX/COUNT DISTINCT/VAR),
-  /// with HAVING, or whose planned rate is infeasible run exactly.
+  /// Executes `query`, which must be bound. Queries without a WITH ERROR
+  /// clause, without aggregates, with non-linear aggregates (MIN/MAX/COUNT
+  /// DISTINCT/VAR), with HAVING, or whose planned rate is infeasible run
+  /// exactly.
   ///
-  /// When `parent_trace` is non-null the executor's spans (parse, bind,
-  /// pilot, plan, final, per-operator) open under the parent's current
-  /// cursor instead of the result profile's own trace, so a caller that
-  /// already owns a submit-scoped trace (the service tier) gets ONE span
-  /// tree for the whole submission. The parent is never Finish()ed here —
-  /// the caller owns its lifecycle — and `result.profile.trace` is left
-  /// empty for the caller to fill (the service deep-copies the finished
-  /// parent in).
+  /// The executor's spans (pilot, plan, final, per-operator) open under
+  /// `trace`'s current cursor; a null `trace` runs untraced. The trace
+  /// belongs to the caller: it is never Finish()ed here, and
+  /// `result.profile.trace` is left empty for the caller to fill (the
+  /// service moves its finished submission trace in).
+  Result<ApproxResult> Execute(const sql::PreparedQuery& query,
+                               obs::QueryTrace* trace = nullptr);
+
+  /// Prepares `sql` and executes it through PrepareAndRun: spans go under a
+  /// non-null `parent_trace`, else into the profile's own trace.
   Result<ApproxResult> Execute(std::string_view sql,
                                obs::QueryTrace* parent_trace = nullptr);
 

@@ -10,17 +10,10 @@
 #include "expr/eval.h"
 #include "expr/vector_eval.h"
 #include "obs/metrics.h"
-#include "sql/parser.h"
 
 namespace aqp {
 namespace core {
 namespace {
-
-// Base column name: the part after the last '.'.
-std::string BaseName(const std::string& name) {
-  size_t pos = name.rfind('.');
-  return pos == std::string::npos ? name : name.substr(pos + 1);
-}
 
 // Restricts a sample to the rows matching `predicate`, keeping the design
 // metadata intact (units that lose all rows simply stop contributing).
@@ -87,21 +80,27 @@ OfflineExecutor::OfflineExecutor(const Catalog* catalog,
 Result<ApproxResult> OfflineExecutor::Execute(std::string_view sql,
                                               double confidence,
                                               obs::QueryTrace* parent_trace) {
+  return PrepareAndRun(sql, *catalog_, parent_trace,
+                       [&](const sql::PreparedQuery& query,
+                           obs::QueryTrace* trace) {
+                         return Execute(query, confidence, trace);
+                       });
+}
+
+Result<ApproxResult> OfflineExecutor::Execute(const sql::PreparedQuery& query,
+                                              double confidence,
+                                              obs::QueryTrace* trace) {
+  AQP_CHECK(query.bound.has_value());
   const auto start = std::chrono::steady_clock::now();
   AQP_RETURN_IF_ERROR(CheckCancelled(exec_.cancel));
+  const sql::SelectStmt& stmt = query.stmt;
+  const sql::BoundQuery& bound = *query.bound;
   const bool instrumented = obs::Enabled();
   ApproxResult result;
   obs::ExecutionProfile& prof = result.profile;
-  prof.query = std::string(sql);
+  prof.query = query.text;
   prof.executor = "offline-sample";
-  const bool external_trace = parent_trace != nullptr;
-  obs::QueryTrace* tr =
-      external_trace ? parent_trace : (instrumented ? &prof.trace : nullptr);
 
-  obs::TraceSpan bind_span = obs::MaybeSpan(tr, "parse+bind");
-  AQP_ASSIGN_OR_RETURN(sql::SelectStmt stmt, sql::Parse(sql));
-  AQP_ASSIGN_OR_RETURN(sql::BoundQuery bound, sql::Bind(stmt, *catalog_));
-  bind_span.End();
   if (!bound.has_aggregates) {
     return Status::Unimplemented("offline AQP answers aggregate queries only");
   }
@@ -123,14 +122,10 @@ Result<ApproxResult> OfflineExecutor::Execute(std::string_view sql,
 
   // Pick the best stored sample: prefer one stratified on the GROUP BY
   // column (sample selection, the BlinkDB step).
-  std::string preferred;
-  if (stmt.group_by.size() == 1 &&
-      stmt.group_by[0]->kind == sql::SqlExpr::Kind::kColumn) {
-    preferred = BaseName(stmt.group_by[0]->column);
-  }
-  obs::TraceSpan select_span = obs::MaybeSpan(tr, "select-sample");
-  AQP_ASSIGN_OR_RETURN(const StoredSample* stored,
-                       samples_->FindBest(stmt.from.table, preferred));
+  obs::TraceSpan select_span = obs::MaybeSpan(trace, "select-sample");
+  AQP_ASSIGN_OR_RETURN(
+      const StoredSample* stored,
+      samples_->FindBest(stmt.from.table, query.StrataColumn()));
   prof.sampling_design =
       stored->strata_column.empty()
           ? "stored-uniform(budget=" + std::to_string(stored->budget) + ")"
@@ -146,13 +141,13 @@ Result<ApproxResult> OfflineExecutor::Execute(std::string_view sql,
   {
     std::vector<std::string> names;
     for (const Field& f : sample.table.schema().fields()) {
-      names.push_back(stmt.from.qualifier() + "." + BaseName(f.name));
+      names.push_back(stmt.from.qualifier() + "." + sql::BaseName(f.name));
     }
     AQP_RETURN_IF_ERROR(sample.table.RenameColumns(names));
   }
 
   if (stmt.where != nullptr) {
-    obs::TraceSpan filter_span = obs::MaybeSpan(tr, "filter-sample");
+    obs::TraceSpan filter_span = obs::MaybeSpan(trace, "filter-sample");
     AQP_ASSIGN_OR_RETURN(ExprPtr predicate, sql::LowerSqlExpr(stmt.where));
     AQP_ASSIGN_OR_RETURN(
         sample,
@@ -170,13 +165,13 @@ Result<ApproxResult> OfflineExecutor::Execute(std::string_view sql,
   for (const sql::BoundAggregate& agg : bound.aggregates) {
     agg_specs.push_back({agg.kind, agg.arg, agg.internal_alias});
   }
-  obs::TraceSpan estimate_span = obs::MaybeSpan(tr, "estimate");
+  obs::TraceSpan estimate_span = obs::MaybeSpan(trace, "estimate");
   AQP_ASSIGN_OR_RETURN(GroupedEstimates estimates,
                        EstimateGroupedAggregates(sample, group_exprs,
                                                  agg_specs));
   estimate_span.End();
 
-  obs::TraceSpan assemble_span = obs::MaybeSpan(tr, "assemble");
+  obs::TraceSpan assemble_span = obs::MaybeSpan(trace, "assemble");
   AQP_ASSIGN_OR_RETURN(
       AssembledResult assembled,
       AssembleOutput(stmt, bound, estimates, *catalog_, confidence));
@@ -206,7 +201,6 @@ Result<ApproxResult> OfflineExecutor::Execute(std::string_view sql,
           .count();
   prof.final_seconds = result.final_seconds;
   prof.total_seconds = result.final_seconds;
-  if (tr != nullptr && !external_trace) prof.trace.Finish();
   if (instrumented) {
     obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
     static obs::Counter* queries = reg.GetCounter("aqp_offline_queries_total");

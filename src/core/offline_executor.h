@@ -2,6 +2,7 @@
 #define AQP_CORE_OFFLINE_EXECUTOR_H_
 
 #include <string>
+#include <string_view>
 
 #include "common/result.h"
 #include "core/approx_executor.h"
@@ -31,12 +32,17 @@ class OfflineExecutor {
   OfflineExecutor(const Catalog* catalog, const SampleCatalog* samples,
                   ExecOptions exec = {});
 
-  /// Executes `sql` against the best stored sample (preferring one
-  /// stratified on the query's GROUP BY column). The result has the same
-  /// shape as the exact query; `cis` carries a posteriori intervals at
-  /// `confidence`. A non-null `parent_trace` receives this executor's spans
-  /// in place of the profile's own trace (same ownership contract as
-  /// ApproxExecutor::Execute — the parent is never Finish()ed here).
+  /// Executes `query`, which must be bound, against the best stored sample
+  /// (preferring one stratified on the query's StrataColumn()). The result
+  /// has the same shape as the exact query; `cis` carries a posteriori
+  /// intervals at `confidence`. Spans go under `trace` (null = untraced),
+  /// with the same ownership contract as ApproxExecutor::Execute — the
+  /// trace is never Finish()ed here.
+  Result<ApproxResult> Execute(const sql::PreparedQuery& query,
+                               double confidence = 0.95,
+                               obs::QueryTrace* trace = nullptr);
+
+  /// Prepares `sql` and executes it through PrepareAndRun.
   Result<ApproxResult> Execute(std::string_view sql, double confidence = 0.95,
                                obs::QueryTrace* parent_trace = nullptr);
 

@@ -64,6 +64,7 @@ class OnlineAggregator {
 
   bool done() const { return consumed_ >= order_.size(); }
   uint64_t rows_seen() const { return consumed_; }
+  uint64_t steps() const { return steps_; }
 
   /// Snapshot of what the aggregator has done so far: setup span (measure
   /// eval + permutation), rows consumed, steps taken, and the fraction of

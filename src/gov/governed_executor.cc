@@ -7,13 +7,12 @@
 #include <thread>
 #include <utility>
 
+#include "common/check.h"
 #include "common/hash.h"
 #include "common/str_util.h"
 #include "core/offline_executor.h"
 #include "core/online_aggregation.h"
 #include "obs/metrics.h"
-#include "sql/binder.h"
-#include "sql/parser.h"
 
 namespace aqp {
 namespace gov {
@@ -112,11 +111,17 @@ GovernedExecutor::GovernedExecutor(const Catalog* catalog,
 Result<core::ApproxResult> GovernedExecutor::Execute(std::string_view sql) {
   QueryContext ctx(Limits{options_.deadline_ms, options_.memory_budget_bytes});
   ctx.Start();
-  return ExecuteWithContext(sql, ctx);
+  return core::PrepareAndRun(
+      sql, *catalog_, /*parent_trace=*/nullptr,
+      [&](const sql::PreparedQuery& query, obs::QueryTrace* trace) {
+        return ExecuteWithContext(query, ctx, trace);
+      });
 }
 
 Result<core::ApproxResult> GovernedExecutor::ExecuteWithContext(
-    std::string_view sql, QueryContext& ctx, obs::QueryTrace* trace) {
+    const sql::PreparedQuery& query, QueryContext& ctx,
+    obs::QueryTrace* trace) {
+  AQP_CHECK(query.bound.has_value());
   BumpCounter("gov.queries");
 
   RetryState retry;
@@ -136,7 +141,7 @@ Result<core::ApproxResult> GovernedExecutor::ExecuteWithContext(
       // The rung span's End() closes any spans the executor left open when it
       // failed mid-stage, so a later rung's spans never nest under rung 0's.
       obs::TraceSpan rung_span = obs::MaybeSpan(trace, "rung-0");
-      Result<core::ApproxResult> r = rung0.Execute(sql, trace);
+      Result<core::ApproxResult> r = rung0.Execute(query, trace);
       rung_span.AddAttr("ok", r.ok() ? "true" : "false");
       return r;
     });
@@ -155,7 +160,7 @@ Result<core::ApproxResult> GovernedExecutor::ExecuteWithContext(
     return failure;
   }
   if (!IsDegradable(failure)) return failure;
-  return RunLadder(sql, ctx, std::move(failure), retry, trace);
+  return RunLadder(query, ctx, std::move(failure), retry, trace);
 }
 
 template <typename Fn>
@@ -209,11 +214,9 @@ RungGate::Decision GovernedExecutor::GateAllow(int rung,
   return d;
 }
 
-Result<core::ApproxResult> GovernedExecutor::RunLadder(std::string_view sql,
-                                                       QueryContext& ctx,
-                                                       Status failure,
-                                                       RetryState& retry,
-                                                       obs::QueryTrace* trace) {
+Result<core::ApproxResult> GovernedExecutor::RunLadder(
+    const sql::PreparedQuery& query, QueryContext& ctx, Status failure,
+    RetryState& retry, obs::QueryTrace* trace) {
   // Rung 1: a pre-computed offline sample answers at cost proportional to
   // the (small) stored sample, no base-table scan. A synopsis the
   // DriftMonitor scored past the decline threshold is refused outright —
@@ -226,7 +229,7 @@ Result<core::ApproxResult> GovernedExecutor::RunLadder(std::string_view sql,
   if (samples_ != nullptr && !drift_declined && GateAllow(1, retry).allow) {
     Result<core::ApproxResult> offline = AttemptWithRetry(1, ctx, retry, [&] {
       obs::TraceSpan rung_span = obs::MaybeSpan(trace, "rung-1");
-      Result<core::ApproxResult> r = RunOfflineRung(sql, ctx, trace);
+      Result<core::ApproxResult> r = RunOfflineRung(query, ctx, trace);
       rung_span.AddAttr("ok", r.ok() ? "true" : "false");
       return r;
     });
@@ -251,7 +254,7 @@ Result<core::ApproxResult> GovernedExecutor::RunLadder(std::string_view sql,
   if (GateAllow(2, retry).allow) {
     Result<core::ApproxResult> ola = AttemptWithRetry(2, ctx, retry, [&] {
       obs::TraceSpan rung_span = obs::MaybeSpan(trace, "rung-2");
-      Result<core::ApproxResult> r = RunOlaRung(sql, ctx);
+      Result<core::ApproxResult> r = RunOlaRung(query, ctx, rung_span);
       rung_span.AddAttr("ok", r.ok() ? "true" : "false");
       return r;
     });
@@ -280,7 +283,8 @@ Result<core::ApproxResult> GovernedExecutor::RunLadder(std::string_view sql,
 }
 
 Result<core::ApproxResult> GovernedExecutor::RunOfflineRung(
-    std::string_view sql, QueryContext& ctx, obs::QueryTrace* trace) {
+    const sql::PreparedQuery& query, QueryContext& ctx,
+    obs::QueryTrace* trace) {
   // The context's token has already tripped (that is why we are here);
   // rung 1 runs without it but keeps the memory budget honest — the stored
   // sample is small, and if even it does not fit the ladder descends.
@@ -288,12 +292,13 @@ Result<core::ApproxResult> GovernedExecutor::RunOfflineRung(
   exec.cancel = nullptr;
   exec.memory = &ctx.memory();
   core::OfflineExecutor offline(catalog_, samples_, exec);
-  return offline.Execute(sql, options_.confidence, trace);
+  return offline.Execute(query, options_.confidence, trace);
 }
 
-Result<core::ApproxResult> GovernedExecutor::RunOlaRung(std::string_view sql,
-                                                        QueryContext& ctx) {
-  AQP_ASSIGN_OR_RETURN(sql::SelectStmt stmt, sql::Parse(sql));
+Result<core::ApproxResult> GovernedExecutor::RunOlaRung(
+    const sql::PreparedQuery& query, QueryContext& ctx,
+    obs::TraceSpan& rung_span) {
+  const sql::SelectStmt& stmt = query.stmt;
   if (!stmt.joins.empty() || !stmt.group_by.empty() ||
       stmt.having != nullptr || stmt.distinct || stmt.items.size() != 1) {
     return Status::Unimplemented(
@@ -336,6 +341,8 @@ Result<core::ApproxResult> GovernedExecutor::RunOlaRung(std::string_view sql,
                                      options_.aqp.seed, exec));
   core::OlaProgress progress =
       agg.Step(options_.ola_grace_rows, options_.confidence);
+  rung_span.AddAttr("steps", agg.steps());
+  rung_span.AddAttr("rows_seen", agg.rows_seen());
 
   stats::ConfidenceInterval ci;
   switch (kind) {
@@ -372,7 +379,9 @@ Result<core::ApproxResult> GovernedExecutor::RunOlaRung(std::string_view sql,
   result.final_rate = progress.fraction;
   result.cis = {{ci}};
   result.profile = agg.Profile();
-  result.profile.query = std::string(sql);
+  // The span tree belongs to the caller's trace, as on rungs 0 and 1.
+  result.profile.trace = obs::QueryTrace();
+  result.profile.query = query.text;
   result.profile.executor = "online-aggregation";
   result.profile.approximated = true;
   result.profile.sampled_table = stmt.from.table;

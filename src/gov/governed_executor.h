@@ -9,6 +9,7 @@
 #include "core/approx_executor.h"
 #include "core/offline_catalog.h"
 #include "gov/query_context.h"
+#include "sql/binder.h"
 
 namespace aqp {
 namespace gov {
@@ -125,18 +126,20 @@ class GovernedExecutor {
   GovernedExecutor(const Catalog* catalog, const core::SampleCatalog* samples,
                    GovernedOptions options);
 
-  /// Executes `sql` under this executor's limits.
+  /// Prepares `sql` (parse and bind spans included) and executes it under
+  /// this executor's limits.
   Result<core::ApproxResult> Execute(std::string_view sql);
 
-  /// Executes `sql` under an externally owned context (e.g. one the caller
-  /// may Cancel() from another thread). The context must already be
-  /// Start()ed or be started by the caller. A non-null `trace` becomes the
-  /// parent of every span the ladder produces — one "rung-N" span per rung
-  /// attempted, with the inner executor's spans nested beneath — so a
-  /// service-owned submit trace sees the whole descent; the trace's
-  /// Finish() stays with its owner.
+  /// Executes `query`, which must be bound, under an externally owned
+  /// context (e.g. one the caller may Cancel() from another thread). The
+  /// context must already be Start()ed or be started by the caller. Every
+  /// rung reads the same prepared query; none re-parses its text. A
+  /// non-null `trace` becomes the parent of every span the ladder produces —
+  /// one "rung-N" span per rung attempted, with the inner executor's spans
+  /// nested beneath — so a service-owned submit trace sees the whole
+  /// descent; the trace's Finish() stays with its owner.
   Result<core::ApproxResult> ExecuteWithContext(
-      std::string_view sql, QueryContext& ctx,
+      const sql::PreparedQuery& query, QueryContext& ctx,
       obs::QueryTrace* trace = nullptr);
 
  private:
@@ -148,14 +151,18 @@ class GovernedExecutor {
     int64_t retry_after_ms = 0;  // Worst gate hint seen (for fast-fail).
   };
 
-  Result<core::ApproxResult> RunLadder(std::string_view sql, QueryContext& ctx,
-                                       Status failure, RetryState& retry,
+  Result<core::ApproxResult> RunLadder(const sql::PreparedQuery& query,
+                                       QueryContext& ctx, Status failure,
+                                       RetryState& retry,
                                        obs::QueryTrace* trace);
-  Result<core::ApproxResult> RunOfflineRung(std::string_view sql,
+  Result<core::ApproxResult> RunOfflineRung(const sql::PreparedQuery& query,
                                             QueryContext& ctx,
                                             obs::QueryTrace* trace);
-  Result<core::ApproxResult> RunOlaRung(std::string_view sql,
-                                        QueryContext& ctx);
+  /// Answers on the aggregator and puts its steps and rows seen on
+  /// `rung_span`.
+  Result<core::ApproxResult> RunOlaRung(const sql::PreparedQuery& query,
+                                        QueryContext& ctx,
+                                        obs::TraceSpan& rung_span);
   /// Runs `attempt`, retrying kInternal failures with backoff while the
   /// shared attempt budget and the deadline allow. Reports the conclusive
   /// outcome to the rung gate.

@@ -6,11 +6,11 @@
 #include <unordered_map>
 #include <utility>
 
+#include "common/check.h"
 #include "common/hash.h"
 #include "gov/fault_injector.h"
 #include "gov/query_context.h"
 #include "obs/metrics.h"
-#include "sql/parser.h"
 
 namespace aqp {
 namespace service {
@@ -71,13 +71,14 @@ AccuracyAuditor::~AccuracyAuditor() {
   }
 }
 
-bool AccuracyAuditor::MaybeEnqueue(const std::string& sql,
+bool AccuracyAuditor::MaybeEnqueue(const sql::PreparedQuery& query,
                                    const core::ApproxResult& result) {
+  AQP_CHECK(query.bound.has_value());
   if (interval_ == 0) return false;
   if (!result.approximated || result.cis.empty()) return false;
 
   Pending p;
-  p.sql = sql;
+  p.query = query;
   p.answer = result.table;
   p.cis = result.cis;
   p.table = result.sampled_table;
@@ -181,8 +182,8 @@ void AccuracyAuditor::AuditOne(const Pending& p) {
   if (log_ != nullptr) {
     obs::QueryLogEvent e;
     e.kind = "audit";
-    e.sql = p.sql;
-    e.sql_fingerprint = HashString(p.sql);
+    e.sql = p.query.text;
+    e.sql_fingerprint = HashString(p.query.text);
     e.status = verdict.ok() ? "ok" : "failed";
     e.degradation_rung = p.rung;
     e.estimated_error = p.estimated_error;
@@ -203,12 +204,10 @@ Result<std::pair<uint64_t, uint64_t>> AccuracyAuditor::CompareAgainstTruth(
   // Chaos site: a failed re-execution is one dropped audit verdict (counted,
   // logged status="failed"), never a foreground-visible error.
   AQP_RETURN_IF_ERROR(gov::FaultInjector::Global().MaybeFail("audit.reexec"));
-  // Ground truth: the same SQL with the error clause stripped, executed
-  // exactly, single-threaded (stays off the shared morsel pool), under the
-  // auditor's own deadline and memory budget.
-  AQP_ASSIGN_OR_RETURN(sql::SelectStmt stmt, sql::Parse(p.sql));
-  stmt.error_spec.reset();
-  AQP_ASSIGN_OR_RETURN(sql::BoundQuery bound, sql::Bind(stmt, *catalog_));
+  // Ground truth: the query's bound plan (the error clause never reaches a
+  // plan), executed exactly, single-threaded (stays off the shared morsel
+  // pool), under the auditor's own deadline and memory budget.
+  const sql::BoundQuery& bound = *p.query.bound;
 
   gov::QueryContext ctx(
       gov::Limits{options_.deadline_ms, options_.memory_budget_bytes});
@@ -222,7 +221,7 @@ Result<std::pair<uint64_t, uint64_t>> AccuracyAuditor::CompareAgainstTruth(
 
   // Which output columns carry aggregates (the cells with CIs to check).
   std::vector<bool> is_aggregate;
-  for (const sql::SelectItem& item : stmt.items) {
+  for (const sql::SelectItem& item : p.query.stmt.items) {
     is_aggregate.push_back(item.expr != nullptr &&
                            item.expr->ContainsAggregate());
   }

@@ -64,8 +64,9 @@ struct AuditorStats {
 
 /// Background accuracy auditor: the empirical check on the system's central
 /// promise. It samples a configurable fraction of completed approximate
-/// answers, re-executes their SQL EXACTLY (error clause stripped) on its own
-/// low-priority thread under its own governed deadline/memory budget, and
+/// answers, re-executes their bound plan EXACTLY (the plan carries no error
+/// clause) on its own low-priority thread under its own governed
+/// deadline/memory budget, and
 /// compares the ground truth against each claimed confidence interval.
 /// Rolling empirical-coverage and observed-vs-claimed-error metrics are
 /// maintained per (table, degradation rung) in the global MetricsRegistry:
@@ -90,10 +91,12 @@ class AccuracyAuditor {
   AccuracyAuditor(const AccuracyAuditor&) = delete;
   AccuracyAuditor& operator=(const AccuracyAuditor&) = delete;
 
-  /// Offers one completed approximate answer for auditing. Returns true iff
-  /// the answer was enqueued (sampled and the queue had room). Cheap and
-  /// non-blocking; call from the foreground result path.
-  bool MaybeEnqueue(const std::string& sql, const core::ApproxResult& result);
+  /// Offers one completed approximate answer to the bound `query` for
+  /// auditing. Returns true iff the answer was enqueued (sampled and the
+  /// queue had room). Cheap and non-blocking; call from the foreground
+  /// result path.
+  bool MaybeEnqueue(const sql::PreparedQuery& query,
+                    const core::ApproxResult& result);
 
   /// Marks `table` as audit-priority: its next `budget` eligible answers
   /// bypass the sampling interval (still bounded by the queue). The
@@ -109,7 +112,7 @@ class AccuracyAuditor {
 
  private:
   struct Pending {
-    std::string sql;
+    sql::PreparedQuery query;
     Table answer;
     std::vector<std::vector<stats::ConfidenceInterval>> cis;
     std::string table;   // Sampled table (metrics key; may be empty).
@@ -127,7 +130,7 @@ class AccuracyAuditor {
 
   void Loop();
   void AuditOne(const Pending& p);
-  /// Re-executes `p.sql` exactly and compares; returns the verdict cells or
+  /// Re-executes `p.query` exactly and compares; returns the verdict cells or
   /// a status when ground truth could not be computed.
   Result<std::pair<uint64_t, uint64_t>> CompareAgainstTruth(
       const Pending& p, double* worst_observed_error);

@@ -11,7 +11,6 @@
 #include "gov/fault_injector.h"
 #include "obs/metrics.h"
 #include "service/synopsis_store.h"
-#include "sql/parser.h"
 
 namespace aqp {
 namespace service {
@@ -85,11 +84,6 @@ void RecordQueryMetrics(double wait_seconds, double exec_seconds,
   wait_ms->Observe(wait_seconds * 1e3);
   query_ms->Observe(exec_seconds * 1e3);
   reg.GetCounter(std::string("service.queries.") + outcome)->Increment();
-}
-
-std::string StripQualifier(const std::string& column) {
-  auto dot = column.rfind('.');
-  return dot == std::string::npos ? column : column.substr(dot + 1);
 }
 
 /// Applies the environment overlays that other members read during
@@ -314,33 +308,33 @@ Result<core::ApproxResult> QueryService::RunAdmitted(
     gopts.memory_budget_bytes = *submission.memory_budget_bytes;
   }
 
-  // A best-effort parse extracts the referenced tables (cache keys) and the
-  // GROUP BY column (stratified synopsis choice). Malformed SQL skips the
-  // caches and lets the executor produce the real error.
-  std::vector<std::string> tables;
-  std::string strata_column;
-  bool parsed = false;
-  if (Result<sql::SelectStmt> stmt = sql::Parse(submission.sql); stmt.ok()) {
-    parsed = true;
-    const sql::SelectStmt& s = stmt.value();
-    tables.push_back(s.from.table);
-    for (const auto& join : s.joins) {
-      if (std::find(tables.begin(), tables.end(), join.table.table) ==
-          tables.end()) {
-        tables.push_back(join.table.table);
-      }
-    }
-    // Stratified synopses only for single-table GROUP BY on a plain column:
-    // that is the case where uniform samples lose small groups and the
-    // BlinkDB-style stratified sample is the fix.
-    if (s.joins.empty() && s.group_by.size() == 1 &&
-        s.group_by[0]->kind == sql::SqlExpr::Kind::kColumn) {
-      strata_column = StripQualifier(s.group_by[0]->column);
+  // Every failure after admission ends the same way: one "failed" event.
+  auto fail = [&](Status status) -> Result<core::ApproxResult> {
+    obs::QueryLogEvent e = MakeEvent(
+        submission.sql, session.id(), "failed", wait_seconds, queue_depth,
+        wait_seconds + SecondsSince(exec_start), /*profile=*/nullptr);
+    e.retry_after_ms = RetryAfterMsFromStatus(status);
+    query_log_.Append(std::move(e));
+    RecordQueryMetrics(wait_seconds, SecondsSince(exec_start), "failed");
+    return status;
+  };
+
+  // The submission's one parse: the referenced tables (cache keys), the
+  // canonical key (result cache, quarantine) and the strata column all come
+  // from it, and the same prepared query runs on every rung.
+  Result<sql::PreparedQuery> prepared = sql::Prepare(submission.sql, trace);
+  if (!prepared.ok()) return fail(prepared.status());
+  sql::PreparedQuery& query = prepared.value();
+  std::vector<std::string> tables = {query.stmt.from.table};
+  for (const auto& join : query.stmt.joins) {
+    if (std::find(tables.begin(), tables.end(), join.table.table) ==
+        tables.end()) {
+      tables.push_back(join.table.table);
     }
   }
 
   std::vector<std::pair<std::string, uint64_t>> versions;
-  bool versions_ok = parsed;
+  bool versions_ok = true;
   for (const std::string& table : tables) {
     Result<uint64_t> version = catalog_->Version(table);
     if (!version.ok()) {
@@ -367,9 +361,9 @@ Result<core::ApproxResult> QueryService::RunAdmitted(
     if (moved) drift_monitor_.NotifyVersionActivity();
   }
 
-  // Result cache: identical (SQL, table versions, contract) → answer from
-  // memory. The fingerprint pins table versions, so appends/replaces
-  // invalidate by making old keys unreachable.
+  // Result cache: identical (canonical SQL, table versions, contract) →
+  // answer from memory. The fingerprint pins table versions, so
+  // appends/replaces invalidate by making old keys unreachable.
   uint64_t fingerprint = 0;
   const bool fingerprint_ok = versions_ok && options_.use_result_cache;
   if (fingerprint_ok) {
@@ -379,12 +373,14 @@ Result<core::ApproxResult> QueryService::RunAdmitted(
     contract.memory_budget_bytes = gopts.memory_budget_bytes;
     contract.seed = gopts.aqp.seed;
     contract.confidence = gopts.confidence;
-    fingerprint = FingerprintQuery(submission.sql, versions, contract);
+    fingerprint = FingerprintQuery(query.key, versions, contract);
     if (std::shared_ptr<const core::ApproxResult> cached =
             result_cache_.Lookup(fingerprint)) {
       probe_span.AddAttr("hit", "true");
       probe_span.End();
       core::ApproxResult result = *cached;  // Deep copy; cache stays immutable.
+      // The entry may have been stored by a differently spelled variant.
+      result.profile.query = submission.sql;
       StampProfile(&result, wait_seconds, queue_depth, "result-cache", trace);
       double wall_seconds = wait_seconds + SecondsSince(exec_start);
       query_log_.Append(MakeEvent(submission.sql, session.id(), "ok",
@@ -414,6 +410,16 @@ Result<core::ApproxResult> QueryService::RunAdmitted(
     }
   }
 
+  // Bound only now: a result-cache hit or a quarantined query never pays for
+  // binding.
+  if (Status bound = sql::BindPrepared(&query, *catalog_, trace);
+      !bound.ok()) {
+    if (fingerprint_ok) {
+      breaker_.RecordQueryOutcome(fingerprint, /*poison=*/false);
+    }
+    return fail(std::move(bound));
+  }
+
   // Synopsis cache: adopt shared stored samples into this query's private
   // offline-rung view. Build/lookup failures are non-fatal — the ladder
   // simply has no rung 1 for that table. The drift score/age of the
@@ -441,6 +447,7 @@ Result<core::ApproxResult> QueryService::RunAdmitted(
                      now_unix - cached.value().built_unix_seconds);
       }
     };
+    const std::string strata_column = query.StrataColumn();
     for (const auto& [table, version] : versions) {
       (void)version;  // The cache re-reads the live version under its lock.
       Result<uint64_t> rows = catalog_->Cardinality(table);
@@ -478,7 +485,7 @@ Result<core::ApproxResult> QueryService::RunAdmitted(
   // Per-(table, rung) circuit breakers gate the ladder's rungs for the
   // query's primary table: a rung with a tripped breaker is skipped (or the
   // query fast-fails with a retry-after hint if no rung remains).
-  if (options_.breaker.enabled && !tables.empty()) {
+  if (options_.breaker.enabled) {
     gopts.rung_gate = &breaker_;
     gopts.gate_table = tables[0];
   }
@@ -498,7 +505,7 @@ Result<core::ApproxResult> QueryService::RunAdmitted(
   gov::GovernedExecutor executor(catalog_, adopted ? &synopsis_view : nullptr,
                                  gopts);
   Result<core::ApproxResult> result =
-      executor.ExecuteWithContext(submission.sql, ctx, trace);
+      executor.ExecuteWithContext(query, ctx, trace);
   // MUST precede ctx going out of scope (and every return below): detaches
   // the context from the watchdog's view.
   watchdog_.Unregister(*ticket_out);
@@ -516,15 +523,7 @@ Result<core::ApproxResult> QueryService::RunAdmitted(
     breaker_.RecordQueryOutcome(fingerprint, poison);
   }
 
-  if (!result.ok()) {
-    obs::QueryLogEvent e =
-        MakeEvent(submission.sql, session.id(), "failed", wait_seconds,
-                  queue_depth, wall_seconds, /*profile=*/nullptr);
-    e.retry_after_ms = RetryAfterMsFromStatus(result.status());
-    query_log_.Append(std::move(e));
-    RecordQueryMetrics(wait_seconds, SecondsSince(exec_start), "failed");
-    return result;
-  }
+  if (!result.ok()) return fail(result.status());
 
   core::ApproxResult& r = result.value();
   std::string cache_source;
@@ -544,7 +543,7 @@ Result<core::ApproxResult> QueryService::RunAdmitted(
   // Offer the completed approximate answer to the background accuracy
   // auditor (result-cache hits returned above — the original execution was
   // already offered; re-auditing an identical answer adds no information).
-  auditor_.MaybeEnqueue(submission.sql, r);
+  auditor_.MaybeEnqueue(query, r);
   RecordQueryMetrics(wait_seconds, SecondsSince(exec_start), "ok");
   return result;
 }

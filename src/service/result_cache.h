@@ -25,8 +25,10 @@ struct ContractFingerprint {
   double confidence = 0.0;
 };
 
-/// Order-sensitive 64-bit fingerprint of (SQL text, referenced table
-/// versions, execution contract). Two submissions share a fingerprint only
+/// Order-sensitive 64-bit fingerprint of (SQL, referenced table versions,
+/// execution contract). The service passes the query's canonical key
+/// (sql::PreparedQuery::key) as `sql`, so spelling variants share a
+/// fingerprint. Two submissions share a fingerprint only
 /// when they would provably produce the same (seeded, version-pinned)
 /// answer under the same contract. Collisions are possible in principle at
 /// 64 bits; at cache sizes of ~1e4 entries the birthday probability is

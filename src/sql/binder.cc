@@ -9,12 +9,6 @@ namespace aqp {
 namespace sql {
 namespace {
 
-// Base column name: the part after the last '.'.
-std::string BaseName(const std::string& name) {
-  size_t pos = name.rfind('.');
-  return pos == std::string::npos ? name : name.substr(pos + 1);
-}
-
 // Wraps `scan` in a Project renaming each column to "<qualifier>.<base>".
 Result<PlanPtr> QualifiedScan(const TableRef& ref, const Catalog& catalog,
                               Schema* schema_out) {
@@ -337,6 +331,42 @@ Result<BoundQuery> Bind(const SelectStmt& stmt, const Catalog& catalog) {
   return bound;
 }
 
+std::string BaseName(const std::string& name) {
+  size_t pos = name.rfind('.');
+  return pos == std::string::npos ? name : name.substr(pos + 1);
+}
+
+std::string PreparedQuery::StrataColumn() const {
+  if (!stmt.joins.empty() || stmt.group_by.size() != 1 ||
+      stmt.group_by[0]->kind != SqlExpr::Kind::kColumn) {
+    return "";
+  }
+  return BaseName(stmt.group_by[0]->column);
+}
+
+Result<PreparedQuery> Prepare(std::string_view sql, obs::QueryTrace* trace) {
+  obs::TraceSpan parse_span = obs::MaybeSpan(trace, "parse");
+  PreparedQuery query;
+  query.text = std::string(sql);
+  AQP_ASSIGN_OR_RETURN(query.stmt, Parse(sql, &query.key));
+  return query;
+}
+
+Status BindPrepared(PreparedQuery* query, const Catalog& catalog,
+                    obs::QueryTrace* trace) {
+  obs::TraceSpan bind_span = obs::MaybeSpan(trace, "bind");
+  AQP_ASSIGN_OR_RETURN(query->bound, Bind(query->stmt, catalog));
+  return Status::OK();
+}
+
+Result<PreparedQuery> PrepareAndBind(std::string_view sql,
+                                     const Catalog& catalog,
+                                     obs::QueryTrace* trace) {
+  AQP_ASSIGN_OR_RETURN(PreparedQuery query, Prepare(sql, trace));
+  AQP_RETURN_IF_ERROR(BindPrepared(&query, catalog, trace));
+  return query;
+}
+
 Result<BoundQuery> BindSql(std::string_view sql, const Catalog& catalog) {
   AQP_ASSIGN_OR_RETURN(SelectStmt stmt, Parse(sql));
   return Bind(stmt, catalog);
@@ -346,11 +376,10 @@ Result<ExprPtr> LowerSqlExpr(const SqlExprPtr& e) { return Lower(e); }
 
 Result<Table> ExecuteSql(std::string_view sql, const Catalog& catalog,
                          ExecStats* stats, obs::QueryTrace* trace) {
-  obs::TraceSpan bind_span = obs::MaybeSpan(trace, "parse+bind");
-  AQP_ASSIGN_OR_RETURN(BoundQuery bound, BindSql(sql, catalog));
-  bind_span.End();
+  AQP_ASSIGN_OR_RETURN(PreparedQuery query,
+                       PrepareAndBind(sql, catalog, trace));
   obs::TraceSpan exec_span = obs::MaybeSpan(trace, "execute");
-  return Execute(bound.plan, catalog, stats, trace);
+  return Execute(query.bound->plan, catalog, stats, trace);
 }
 
 Result<PlanPtr> BindPostAggregation(const SelectStmt& stmt,

@@ -3,6 +3,7 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -35,6 +36,39 @@ struct BoundQuery {
   std::vector<std::string> output_names;   // Final projected column names.
   std::vector<TableRef> tables;            // FROM then JOIN order.
 };
+
+/// One submission's SQL, parsed once and bound once: the value the service
+/// builds at submit and hands to every layer below it (each ladder rung, the
+/// accuracy auditor), so none of them re-derives the query from its text.
+struct PreparedQuery {
+  std::string text;  // The SQL exactly as submitted.
+  SelectStmt stmt;
+  /// CanonicalKey of the text (sql/lexer.h): equal for whitespace and
+  /// keyword-case variants, distinct for any other token difference.
+  std::string key;
+  std::optional<BoundQuery> bound;  // Set by BindPrepared.
+
+  /// The base name of the single plain-column GROUP BY key of a one-table
+  /// query, else empty: the column a stratified sample should be stratified
+  /// on (BlinkDB's case — uniform samples lose small groups).
+  std::string StrataColumn() const;
+};
+
+/// Parses `sql` under a "parse" span on `trace` (null = untraced).
+Result<PreparedQuery> Prepare(std::string_view sql,
+                              obs::QueryTrace* trace = nullptr);
+
+/// Binds `query->stmt` against `catalog` under a "bind" span on `trace`.
+Status BindPrepared(PreparedQuery* query, const Catalog& catalog,
+                    obs::QueryTrace* trace = nullptr);
+
+/// Prepare + BindPrepared.
+Result<PreparedQuery> PrepareAndBind(std::string_view sql,
+                                     const Catalog& catalog,
+                                     obs::QueryTrace* trace = nullptr);
+
+/// Base column name: the part after the last '.' ("l.price" -> "price").
+std::string BaseName(const std::string& name);
 
 /// Resolves names against the catalog, places aggregates, and lowers the
 /// statement to a plan:

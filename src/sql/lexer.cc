@@ -204,5 +204,22 @@ Result<std::vector<Token>> Lex(std::string_view input) {
   return tokens;
 }
 
+std::string CanonicalKey(const std::vector<Token>& tokens) {
+  std::string key;
+  for (const Token& t : tokens) {
+    if (t.kind == TokenKind::kEnd) break;
+    key += static_cast<char>('a' + static_cast<int>(t.kind));
+    // String literals may hold any byte, so their length keeps the encoding
+    // unambiguous; every other token's text never contains a space.
+    if (t.kind == TokenKind::kStringLiteral) {
+      key += std::to_string(t.text.size());
+      key += ':';
+    }
+    key += t.text;
+    key += ' ';
+  }
+  return key;
+}
+
 }  // namespace sql
 }  // namespace aqp

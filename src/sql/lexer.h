@@ -55,6 +55,12 @@ struct Token {
 /// Tokenizes a SQL string. Fails on unterminated strings or stray characters.
 Result<std::vector<Token>> Lex(std::string_view input);
 
+/// The canonical form of a token stream: each token's kind and text, so
+/// texts differing only in whitespace or keyword case share it (keywords
+/// carry their upper-case text) while every literal keeps its exact source
+/// spelling. Two texts share a key iff they lex to the same token sequence.
+std::string CanonicalKey(const std::vector<Token>& tokens);
+
 }  // namespace sql
 }  // namespace aqp
 

@@ -552,8 +552,9 @@ Result<SelectStmt> Parser::ParseSelect() {
 
 }  // namespace
 
-Result<SelectStmt> Parse(std::string_view input) {
+Result<SelectStmt> Parse(std::string_view input, std::string* canonical_key) {
   AQP_ASSIGN_OR_RETURN(std::vector<Token> tokens, Lex(input));
+  if (canonical_key != nullptr) *canonical_key = CanonicalKey(tokens);
   Parser parser(std::move(tokens));
   return parser.ParseSelect();
 }

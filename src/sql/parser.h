@@ -1,6 +1,7 @@
 #ifndef AQP_SQL_PARSER_H_
 #define AQP_SQL_PARSER_H_
 
+#include <string>
 #include <string_view>
 
 #include "common/result.h"
@@ -26,7 +27,11 @@ namespace sql {
 /// comparisons, AND/OR/NOT, IN, BETWEEN, LIKE, and aggregate calls
 /// COUNT(*) / COUNT(x) / COUNT(DISTINCT x) / SUM / AVG / MIN / MAX /
 /// VAR / STDDEV, with optional "AS alias".
-Result<SelectStmt> Parse(std::string_view input);
+///
+/// A non-null `canonical_key` receives the input's CanonicalKey
+/// (sql/lexer.h), built from the same token stream.
+Result<SelectStmt> Parse(std::string_view input,
+                         std::string* canonical_key = nullptr);
 
 }  // namespace sql
 }  // namespace aqp

@@ -124,7 +124,8 @@ TEST_F(GovernedExecutorTest, UserCancelDoesNotDegrade) {
   QueryContext ctx;
   ctx.Start();
   ctx.Cancel("user hit ctrl-c");
-  Result<core::ApproxResult> r = exec.ExecuteWithContext(kSumQuery, ctx);
+  Result<core::ApproxResult> r = exec.ExecuteWithContext(
+      sql::PrepareAndBind(kSumQuery, catalog_).value(), ctx);
   EXPECT_EQ(r.status().code(), StatusCode::kCancelled);
   EXPECT_EQ(ctx.memory().used(), 0u);  // Nothing leaked on the cancel path.
 }

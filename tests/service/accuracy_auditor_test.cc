@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "obs/query_log.h"
+#include "sql/binder.h"
 #include "workload/datagen.h"
 
 namespace aqp {
@@ -68,6 +69,11 @@ class AccuracyAuditorTest : public ::testing::Test {
     return r;
   }
 
+  /// `sql` prepared and bound against the fixture's catalog.
+  sql::PreparedQuery Prepared(const char* sql) const {
+    return sql::PrepareAndBind(sql, catalog_).value();
+  }
+
   Catalog catalog_;
   double exact_sum_ = 0.0;
 };
@@ -76,7 +82,7 @@ TEST_F(AccuracyAuditorTest, FractionZeroIsInert) {
   AuditOptions opts;  // fraction == 0.
   AccuracyAuditor auditor(&catalog_, opts);
   EXPECT_FALSE(auditor.enabled());
-  EXPECT_FALSE(auditor.MaybeEnqueue(kSql, FakeAnswer(true)));
+  EXPECT_FALSE(auditor.MaybeEnqueue(Prepared(kSql), FakeAnswer(true)));
   auditor.Drain();  // No worker: must return immediately.
   EXPECT_EQ(auditor.stats().eligible, 0u);
 }
@@ -86,7 +92,7 @@ TEST_F(AccuracyAuditorTest, CoveringAnswerCountsAsCovered) {
   opts.fraction = 1.0;
   AccuracyAuditor auditor(&catalog_, opts);
   ASSERT_TRUE(auditor.enabled());
-  EXPECT_TRUE(auditor.MaybeEnqueue(kSql, FakeAnswer(true)));
+  EXPECT_TRUE(auditor.MaybeEnqueue(Prepared(kSql), FakeAnswer(true)));
   auditor.Drain();
   AuditorStats s = auditor.stats();
   EXPECT_EQ(s.eligible, 1u);
@@ -103,7 +109,7 @@ TEST_F(AccuracyAuditorTest, MissingAnswerCountsAsUncovered) {
   AuditOptions opts;
   opts.fraction = 1.0;
   AccuracyAuditor auditor(&catalog_, opts);
-  ASSERT_TRUE(auditor.MaybeEnqueue(kSql, FakeAnswer(false)));
+  ASSERT_TRUE(auditor.MaybeEnqueue(Prepared(kSql), FakeAnswer(false)));
   auditor.Drain();
   AuditorStats s = auditor.stats();
   EXPECT_EQ(s.cells, 1u);
@@ -116,7 +122,7 @@ TEST_F(AccuracyAuditorTest, SamplingFractionPicksEveryNth) {
   AccuracyAuditor auditor(&catalog_, opts);
   int enqueued = 0;
   for (int i = 0; i < 12; ++i) {
-    if (auditor.MaybeEnqueue(kSql, FakeAnswer(true))) ++enqueued;
+    if (auditor.MaybeEnqueue(Prepared(kSql), FakeAnswer(true))) ++enqueued;
   }
   auditor.Drain();
   EXPECT_EQ(enqueued, 3);
@@ -132,10 +138,10 @@ TEST_F(AccuracyAuditorTest, ExactAnswersAreNotEligible) {
   AccuracyAuditor auditor(&catalog_, opts);
   core::ApproxResult exact = FakeAnswer(true);
   exact.approximated = false;
-  EXPECT_FALSE(auditor.MaybeEnqueue(kSql, exact));
+  EXPECT_FALSE(auditor.MaybeEnqueue(Prepared(kSql), exact));
   core::ApproxResult no_cis = FakeAnswer(true);
   no_cis.cis.clear();
-  EXPECT_FALSE(auditor.MaybeEnqueue(kSql, no_cis));
+  EXPECT_FALSE(auditor.MaybeEnqueue(Prepared(kSql), no_cis));
   EXPECT_EQ(auditor.stats().eligible, 0u);
 }
 
@@ -145,7 +151,7 @@ TEST_F(AccuracyAuditorTest, FullQueueDropsInsteadOfBlocking) {
   opts.queue_capacity = 0;  // Every sampled answer finds the queue "full".
   AccuracyAuditor auditor(&catalog_, opts);
   for (int i = 0; i < 5; ++i) {
-    EXPECT_FALSE(auditor.MaybeEnqueue(kSql, FakeAnswer(true)));
+    EXPECT_FALSE(auditor.MaybeEnqueue(Prepared(kSql), FakeAnswer(true)));
   }
   auditor.Drain();
   AuditorStats s = auditor.stats();
@@ -154,11 +160,17 @@ TEST_F(AccuracyAuditorTest, FullQueueDropsInsteadOfBlocking) {
   EXPECT_EQ(s.audited, 0u);
 }
 
-TEST_F(AccuracyAuditorTest, UnparseableAuditCountsAsFailed) {
+TEST_F(AccuracyAuditorTest, UnexecutableAuditCountsAsFailed) {
   AuditOptions opts;
   opts.fraction = 1.0;
   AccuracyAuditor auditor(&catalog_, opts);
-  ASSERT_TRUE(auditor.MaybeEnqueue("SELEKT broken", FakeAnswer(true)));
+  // Bound against a catalog whose table the auditor's catalog lacks: the
+  // ground-truth re-execution cannot run.
+  Catalog other;
+  ASSERT_TRUE(other.Register("gone", catalog_.Get("t").value()).ok());
+  sql::PreparedQuery gone =
+      sql::PrepareAndBind("SELECT SUM(x) AS s FROM gone", other).value();
+  ASSERT_TRUE(auditor.MaybeEnqueue(gone, FakeAnswer(true)));
   auditor.Drain();
   AuditorStats s = auditor.stats();
   EXPECT_EQ(s.failed, 1u);
@@ -173,14 +185,14 @@ TEST_F(AccuracyAuditorTest, SustainedMissesRaiseTheRegressionFlagAndRecover) {
   AccuracyAuditor auditor(&catalog_, opts);
   // 60 straight misses (>= the 50-cell minimum, coverage 0 << 95% - slack).
   for (int i = 0; i < 60; ++i) {
-    ASSERT_TRUE(auditor.MaybeEnqueue(kSql, FakeAnswer(false)));
+    ASSERT_TRUE(auditor.MaybeEnqueue(Prepared(kSql), FakeAnswer(false)));
     auditor.Drain();  // Keep the bounded queue from dropping any.
   }
   EXPECT_TRUE(auditor.stats().coverage_regression);
   // The window is rolling: enough covering answers push the misses out and
   // the flag clears (it is recomputed, not latched).
   for (int i = 0; i < 128; ++i) {
-    ASSERT_TRUE(auditor.MaybeEnqueue(kSql, FakeAnswer(true)));
+    ASSERT_TRUE(auditor.MaybeEnqueue(Prepared(kSql), FakeAnswer(true)));
     auditor.Drain();
   }
   EXPECT_FALSE(auditor.stats().coverage_regression);
@@ -191,8 +203,8 @@ TEST_F(AccuracyAuditorTest, VerdictsAppendAuditEventsToTheQueryLog) {
   AuditOptions opts;
   opts.fraction = 1.0;
   AccuracyAuditor auditor(&catalog_, opts, &log);
-  ASSERT_TRUE(auditor.MaybeEnqueue(kSql, FakeAnswer(true)));
-  ASSERT_TRUE(auditor.MaybeEnqueue(kSql, FakeAnswer(false)));
+  ASSERT_TRUE(auditor.MaybeEnqueue(Prepared(kSql), FakeAnswer(true)));
+  ASSERT_TRUE(auditor.MaybeEnqueue(Prepared(kSql), FakeAnswer(false)));
   auditor.Drain();
   std::vector<obs::QueryLogEvent> events = log.Snapshot();
   ASSERT_EQ(events.size(), 2u);
@@ -253,7 +265,8 @@ TEST_F(AccuracyAuditorTest, GroupedAnswerChecksOnlyAggregateCells) {
            {key_ci, ci(1.0, 0.9, 1.1)}};
 
   ASSERT_TRUE(
-      auditor.MaybeEnqueue("SELECT k, SUM(x) AS s FROM t GROUP BY k", r));
+      auditor.MaybeEnqueue(Prepared("SELECT k, SUM(x) AS s FROM t GROUP BY k"),
+                           r));
   auditor.Drain();
   AuditorStats s = auditor.stats();
   // Three aggregate cells (the key column has no CI to check): the honest

@@ -165,9 +165,63 @@ TEST_F(QueryServiceTest, MalformedSqlSurfacesParserError) {
   gov::ScopedFaultInjection quiet;
   QueryService service(&catalog_, Options());
   auto session = service.OpenSession();
-  auto r = service.Execute(session, {"SELEKT oops"});
-  EXPECT_FALSE(r.ok());
+  struct Case {
+    const char* sql;
+    StatusCode code;
+    const char* message;
+  };
+  const Case cases[] = {
+      {"SELEKT oops", StatusCode::kInvalidArgument,
+       "expected SELECT near offset 0"},
+      {"SELECT SUM(x) AS s FROM no_such_table", StatusCode::kNotFound,
+       "no table named no_such_table"},
+  };
+  for (const Case& c : cases) {
+    const size_t logged = service.query_log().Snapshot().size();
+    auto r = service.Execute(session, {c.sql});
+    ASSERT_FALSE(r.ok()) << c.sql;
+    EXPECT_EQ(r.status().code(), c.code) << c.sql;
+    EXPECT_EQ(r.status().message(), c.message) << c.sql;
+    // Exactly one query-log event per submission, and it records a failure.
+    std::vector<obs::QueryLogEvent> events = service.query_log().Snapshot();
+    ASSERT_EQ(events.size(), logged + 1) << c.sql;
+    EXPECT_EQ(events.back().kind, "query");
+    EXPECT_EQ(events.back().status, "failed");
+    EXPECT_EQ(events.back().sql, c.sql);
+  }
   EXPECT_EQ(service.result_cache_stats().entries, 0u);
+}
+
+// The result cache keys on the canonical token form of the SQL: spelling
+// variants of one query share an answer, and any token difference — one
+// literal digit, the accuracy contract — is a different query.
+TEST_F(QueryServiceTest, ResultCacheKeysOnCanonicalSql) {
+  gov::ScopedFaultInjection quiet;
+  QueryService service(&catalog_, Options());
+  auto session = service.OpenSession();
+  auto run = [&](const std::string& sql) {
+    auto r = service.Execute(session, {sql});
+    EXPECT_TRUE(r.ok()) << sql << ": " << r.status().ToString();
+    if (!r.ok()) return false;
+    // A variant's hit reports the text it submitted, not the stored entry's.
+    EXPECT_EQ(r.value().profile.query, sql);
+    return r.value().profile.cache_source == "result-cache";
+  };
+
+  ASSERT_FALSE(run(kSumQuery));
+  EXPECT_TRUE(run("select sum(extendedprice) as s from lineitem with error 5% "
+                  "confidence 95%"));
+  EXPECT_TRUE(run("SELECT  SUM( extendedprice )  AS s\n  FROM lineitem\t"
+                  "WITH ERROR 5%   CONFIDENCE 95%"));
+  EXPECT_EQ(service.result_cache_stats().hits, 2u);
+
+  const std::string filtered =
+      "SELECT SUM(extendedprice) AS s FROM lineitem WHERE discount < ";
+  EXPECT_FALSE(run(filtered + "0.7000001"));
+  EXPECT_FALSE(run(filtered + "0.7000002"));
+  EXPECT_FALSE(run(filtered + "0.7000001 WITH ERROR 5% CONFIDENCE 95%"));
+  EXPECT_TRUE(run(filtered + "0.7000002"));
+  EXPECT_EQ(service.result_cache_stats().hits, 3u);
 }
 
 TEST_F(QueryServiceTest, ConcurrentSessionsAllComplete) {

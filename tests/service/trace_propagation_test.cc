@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "gov/fault_injector.h"
+#include "gov/governed_executor.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "service/query_service.h"
@@ -41,6 +42,19 @@ size_t CountSpans(const obs::SpanRecord& node) {
   size_t n = 1;
   for (const auto& child : node.children) n += CountSpans(*child);
   return n;
+}
+
+size_t CountNamed(const obs::SpanRecord& node, const std::string& name) {
+  size_t n = node.name == name ? 1 : 0;
+  for (const auto& child : node.children) n += CountNamed(*child, name);
+  return n;
+}
+
+bool IsChildOf(const obs::SpanRecord& parent, const std::string& name) {
+  for (const auto& child : parent.children) {
+    if (child->name == name) return true;
+  }
+  return false;
 }
 
 bool HasAttrInSubtree(const obs::SpanRecord& node, const std::string& attr) {
@@ -179,6 +193,80 @@ TEST_P(TracePropagationTest, DegradedAnswerTraceShowsTheRungTaken) {
   const obs::SpanRecord* rung1 = FindSpan(root, "rung-1");
   ASSERT_NE(rung1, nullptr);
   EXPECT_NE(FindSpan(*rung1, "estimate"), nullptr);
+}
+
+// The service parses and binds a submission once, at its root, and every
+// rung reads that one prepared query: whichever rung answers, the tree holds
+// exactly one parse span and one bind span, both children of the root.
+TEST_P(TracePropagationTest, EachSubmissionIsParsedAndBoundOnce) {
+  gov::ScopedFaultInjection quiet;
+  auto expect_once = [](const Result<core::ApproxResult>& r, int rung) {
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_EQ(r.value().profile.degradation_rung, rung);
+    const obs::SpanRecord& root = r.value().profile.trace.root();
+    EXPECT_EQ(CountNamed(root, "parse"), 1u) << "rung " << rung;
+    EXPECT_EQ(CountNamed(root, "bind"), 1u) << "rung " << rung;
+    EXPECT_EQ(CountNamed(root, "parse+bind"), 0u) << "rung " << rung;
+    EXPECT_TRUE(IsChildOf(root, "parse")) << "rung " << rung;
+    EXPECT_TRUE(IsChildOf(root, "bind")) << "rung " << rung;
+  };
+  Submission expired{kSumQuery};
+  expired.deadline_ms = 0;  // Forces the ladder off rung 0.
+  {
+    QueryService service(&catalog_, Options());
+    auto session = service.OpenSession();
+    expect_once(service.Execute(session, {kSumQuery}), 0);
+    // Rung 1, answered from the shared synopsis (built by the first run,
+    // cached for the second).
+    expect_once(service.Execute(session, expired), 1);
+    expect_once(service.Execute(session, expired), 1);
+
+    // A result-cache hit is parsed (its key comes from the parse) but
+    // never bound.
+    auto hit = service.Execute(session, {kSumQuery});
+    ASSERT_TRUE(hit.ok());
+    ASSERT_EQ(hit.value().profile.cache_source, "result-cache");
+    const obs::SpanRecord& root = hit.value().profile.trace.root();
+    EXPECT_EQ(CountNamed(root, "parse"), 1u);
+    EXPECT_EQ(CountNamed(root, "bind"), 0u);
+  }
+  {
+    // No table is large enough for a synopsis, so rung 1 has nothing to
+    // answer from and rung 2 (online aggregation) answers.
+    ServiceOptions no_synopsis = Options();
+    no_synopsis.synopsis_min_table_rows = 1ull << 40;
+    QueryService service(&catalog_, no_synopsis);
+    auto session = service.OpenSession();
+    auto ola = service.Execute(session, expired);
+    expect_once(ola, 2);
+    const obs::SpanRecord* rung2 =
+        FindSpan(ola.value().profile.trace.root(), "rung-2");
+    ASSERT_NE(rung2, nullptr);
+    EXPECT_TRUE(HasAttrInSubtree(*rung2, "steps"));
+    EXPECT_TRUE(HasAttrInSubtree(*rung2, "rows_seen"));
+  }
+}
+
+// A standalone GovernedExecutor::Execute owns its trace the same way: one
+// parse and one bind under the root, and the answering rung's span beneath.
+TEST_P(TracePropagationTest, StandaloneGovernedRunTracesParseBindAndRung) {
+  gov::ScopedFaultInjection quiet;
+  gov::GovernedOptions opts = Options().gov;
+  opts.deadline_ms = 0;  // No samples either: rung 2 answers.
+  gov::GovernedExecutor exec(&catalog_, /*samples=*/nullptr, opts);
+  auto r = exec.Execute(kSumQuery);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r.value().profile.degradation_rung, 2);
+  const obs::SpanRecord& root = r.value().profile.trace.root();
+  EXPECT_EQ(CountNamed(root, "parse"), 1u);
+  EXPECT_EQ(CountNamed(root, "bind"), 1u);
+  EXPECT_TRUE(IsChildOf(root, "parse"));
+  EXPECT_TRUE(IsChildOf(root, "bind"));
+  EXPECT_TRUE(IsChildOf(root, "rung-0"));
+  const obs::SpanRecord* rung2 = FindSpan(root, "rung-2");
+  ASSERT_NE(rung2, nullptr);
+  EXPECT_TRUE(HasAttrInSubtree(*rung2, "steps"));
+  EXPECT_TRUE(HasAttrInSubtree(*rung2, "rows_seen"));
 }
 
 TEST_P(TracePropagationTest, ObservabilityOffMeansNoTraceAndNoSpans) {

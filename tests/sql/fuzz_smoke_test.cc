@@ -3,12 +3,16 @@
 // full engine) as Status values — never a crash, hang, or UB. This is the
 // cheap always-on cousin of a real fuzzer: deterministic, a few milliseconds,
 // and it runs in every CI configuration including the sanitizers.
+#include <cctype>
+#include <map>
+#include <set>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "common/str_util.h"
 #include "engine/executor.h"
 #include "sql/binder.h"
 #include "sql/parser.h"
@@ -118,6 +122,157 @@ TEST(FuzzSmokeTest, ThousandMutatedQueriesNeverCrash) {
   EXPECT_GT(parsed, 50u);
   EXPECT_GT(bound, 10u);
   EXPECT_GT(differential, 0u);
+}
+
+// The lexer's keywords (sql/lexer.cc), the only words Respell may re-case.
+const std::set<std::string>& Keywords() {
+  static const std::set<std::string> kKeywords = {
+      "SELECT", "FROM",   "WHERE",  "GROUP",      "BY",       "HAVING",
+      "ORDER",  "LIMIT",  "JOIN",   "INNER",      "LEFT",     "OUTER",
+      "ON",     "AS",     "AND",    "OR",         "NOT",      "IN",
+      "BETWEEN", "LIKE",  "TABLESAMPLE", "BERNOULLI", "SYSTEM", "WITH",
+      "ERROR",  "CONFIDENCE", "COUNT", "SUM",     "AVG",      "MIN",
+      "MAX",    "VAR",    "STDDEV", "DISTINCT",   "TRUE",     "FALSE",
+      "NULL",   "UNION",  "ALL",    "ASC",        "DESC",     "IS",
+  };
+  return kKeywords;
+}
+
+bool IsSpace(char c) { return std::isspace(static_cast<unsigned char>(c)); }
+bool IsWordChar(char c) {
+  return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
+}
+
+// Re-spells `q` without changing the tokens it lexes to, working on the raw
+// characters rather than on the lexer's output: every whitespace run becomes
+// a random run of 1-3 spaces/tabs/newlines, whitespace may appear around
+// parentheses and commas, and keywords get random letter case. String
+// literals and numbers are copied verbatim.
+std::string Respell(const std::string& q, Pcg32& rng) {
+  std::string out;
+  auto whitespace = [&] {
+    const uint32_t n = 1 + rng.UniformUint32(3);
+    for (uint32_t k = 0; k < n; ++k) out += " \t\n"[rng.UniformUint32(3)];
+  };
+  size_t i = 0;
+  while (i < q.size()) {
+    const char c = q[i];
+    if (c == '\'') {  // A quoted run, copied whole; '' escapes re-enter here.
+      size_t end = q.find('\'', i + 1);
+      end = end == std::string::npos ? q.size() : end + 1;
+      out.append(q, i, end - i);
+      i = end;
+    } else if (IsSpace(c)) {
+      while (i < q.size() && IsSpace(q[i])) ++i;
+      whitespace();
+    } else if (std::isdigit(static_cast<unsigned char>(c))) {
+      size_t end = i;  // A number ("1.5e3"), copied whole.
+      while (end < q.size() && (IsWordChar(q[end]) || q[end] == '.')) ++end;
+      out.append(q, i, end - i);
+      i = end;
+    } else if (IsWordChar(c)) {
+      size_t end = i;  // A keyword or an identifier.
+      while (end < q.size() && IsWordChar(q[end])) ++end;
+      std::string word = q.substr(i, end - i);
+      if (Keywords().count(ToUpper(word)) > 0) {
+        for (char& ch : word) {
+          ch = rng.UniformUint32(2) == 0
+                   ? static_cast<char>(std::tolower(static_cast<unsigned char>(ch)))
+                   : static_cast<char>(std::toupper(static_cast<unsigned char>(ch)));
+        }
+      }
+      out += word;
+      i = end;
+    } else if (c == '(' || c == ')' || c == ',') {
+      if (rng.UniformUint32(2) == 0) whitespace();
+      out += c;
+      if (rng.UniformUint32(2) == 0) whitespace();
+      ++i;
+    } else {
+      out += c;
+      ++i;
+    }
+  }
+  return out;
+}
+
+std::string RenderExpr(const SqlExprPtr& e) {
+  return e == nullptr ? "<none>" : e->ToString();
+}
+
+std::string RenderRef(const TableRef& ref) {
+  return ref.table + " AS " + ref.alias + " SAMPLE " +
+         std::to_string(static_cast<int>(ref.sample.method)) + "/" +
+         std::to_string(ref.sample.rate) + "/" +
+         std::to_string(ref.sample.block_size);
+}
+
+// Every clause of `stmt`, rendered (SqlExpr::ToString for expressions).
+std::string RenderStmt(const SelectStmt& stmt) {
+  std::string out = stmt.distinct ? "DISTINCT|" : "|";
+  for (const SelectItem& item : stmt.items) {
+    out += RenderExpr(item.expr) + " AS " + item.alias + ",";
+  }
+  out += "|FROM " + RenderRef(stmt.from);
+  for (const JoinClause& join : stmt.joins) {
+    out += "|JOIN " + std::to_string(static_cast<int>(join.type)) + " " +
+           RenderRef(join.table) + " ON";
+    for (const auto& [lhs, rhs] : join.conditions) {
+      out += " " + lhs + "=" + rhs;
+    }
+  }
+  out += "|WHERE " + RenderExpr(stmt.where) + "|GROUP";
+  for (const SqlExprPtr& g : stmt.group_by) out += " " + RenderExpr(g);
+  out += "|HAVING " + RenderExpr(stmt.having) + "|ORDER";
+  for (const OrderItem& o : stmt.order_by) {
+    out += " " + o.column + (o.ascending ? " ASC" : " DESC");
+  }
+  out += "|LIMIT " + (stmt.limit.has_value() ? std::to_string(*stmt.limit)
+                                              : std::string("-"));
+  if (stmt.error_spec.has_value()) {
+    out += "|ERROR " + std::to_string(stmt.error_spec->relative_error) + " " +
+           std::to_string(stmt.error_spec->confidence);
+  }
+  return out;
+}
+
+// The result cache and the poison quarantine key on CanonicalKey, so it must
+// (a) ignore whitespace and keyword case and (b) never join two texts that
+// parse to different statements.
+TEST(FuzzSmokeTest, CanonicalKeyIgnoresSpellingAndNeverMergesStatements) {
+  Pcg32 rng(20261017);
+  std::map<std::string, std::string> rendering_by_key;
+  size_t parsed = 0;
+  size_t shared = 0;
+  auto check_unique = [&](const std::string& key, const SelectStmt& stmt,
+                          const std::string& text) {
+    auto [it, inserted] = rendering_by_key.emplace(key, RenderStmt(stmt));
+    if (!inserted) {
+      ++shared;
+      EXPECT_EQ(it->second, RenderStmt(stmt)) << text;
+    }
+  };
+  for (int i = 0; i < 1000; ++i) {
+    std::string q = kSeedQueries[i % std::size(kSeedQueries)];
+    const uint32_t rounds = 1 + rng.UniformUint32(4);
+    for (uint32_t r = 0; r < rounds; ++r) q = Mutate(std::move(q), rng);
+
+    std::string key;
+    Result<SelectStmt> stmt = Parse(q, &key);
+    if (!stmt.ok()) continue;
+    ++parsed;
+    check_unique(key, stmt.value(), q);
+
+    const std::string variant = Respell(q, rng);
+    std::string variant_key;
+    Result<SelectStmt> variant_stmt = Parse(variant, &variant_key);
+    ASSERT_TRUE(variant_stmt.ok())
+        << q << "\n" << variant << "\n" << variant_stmt.status().ToString();
+    EXPECT_EQ(variant_key, key) << q << "\n" << variant;
+    check_unique(variant_key, variant_stmt.value(), variant);
+  }
+  EXPECT_GT(parsed, 50u);
+  EXPECT_GE(shared, parsed);  // Every variant shares its original's key.
 }
 
 TEST(FuzzSmokeTest, PathologicalInputsReturnStatus) {
