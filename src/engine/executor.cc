@@ -1,7 +1,7 @@
 #include "engine/executor.h"
 
 #include <algorithm>
-#include <unordered_map>
+#include <functional>
 
 #include "common/cancellation.h"
 #include "common/check.h"
@@ -162,64 +162,82 @@ bool ViewIsIdentity(const BatchView& v) {
   return true;
 }
 
+// The schema a view exposes: its names over the base columns' types.
+Schema ViewSchema(const BatchView& v) {
+  Schema schema;
+  for (size_t i = 0; i < v.col_idx.size(); ++i) {
+    schema.AddField({v.names[i], v.base->column(v.col_idx[i]).type()});
+  }
+  return schema;
+}
+
+// Builds `num_cols` output columns of `rows` rows each with `gather(i)`,
+// column-parallel through the pool whenever the morsel path is active for
+// this row count — single-column outputs included, so morsel attribution
+// (run stats, trace attrs) reflects the gather uniformly. Columns are
+// independent, so the result is identical for every thread count.
+Result<std::vector<Column>> GatherColumns(
+    size_t num_cols, size_t rows, ExecContext& ctx,
+    const std::function<Column(size_t)>& gather) {
+  std::vector<Column> columns;
+  if (!ctx.options.UseMorsels(rows)) {
+    columns.reserve(num_cols);
+    for (size_t i = 0; i < num_cols; ++i) columns.push_back(gather(i));
+    return columns;
+  }
+  columns.assign(num_cols, Column(DataType::kInt64));
+  ParallelRunStats rs = ThreadPool::Shared().ParallelFor(
+      num_cols, /*morsel_items=*/1, ctx.options.ResolvedThreads(),
+      ctx.pf_options(), [&](size_t, size_t, size_t begin, size_t end) {
+        for (size_t i = begin; i < end; ++i) columns[i] = gather(i);
+      });
+  if (ctx.run_stats() != nullptr) ctx.run_stats()->MergeFrom(rs);
+  // A cancellation mid-gather leaves dummy columns behind; bail before
+  // Table::Make sees mismatched lengths.
+  AQP_RETURN_IF_ERROR(CheckCancelled(ctx.options.cancel));
+  return columns;
+}
+
 // Collapses a view into a real table: the one gather of the batch pipeline.
 // Identity views hand back the base table without copying (matching the
-// scalar scan's pass-through of catalog tables). The gather is
-// column-parallel — columns are independent, so the result is identical for
-// every thread count.
+// scalar scan's pass-through of catalog tables).
 Result<TablePtr> MaterializeView(const BatchView& v, ExecContext& ctx,
                                  std::string_view what) {
   if (ViewIsIdentity(v)) return v.base;
   const Table& base = *v.base;
-  const size_t num_cols = v.col_idx.size();
-  Schema schema;
-  for (size_t i = 0; i < num_cols; ++i) {
-    schema.AddField({v.names[i], base.column(v.col_idx[i]).type()});
-  }
   std::vector<Column> columns;
   if (v.sel == nullptr) {
-    columns.reserve(num_cols);
-    for (size_t i = 0; i < num_cols; ++i) {
-      columns.push_back(base.column(v.col_idx[i]));
-    }
-  } else if (ctx.options.UseMorsels(v.sel->size())) {
-    // Column-parallel gather through the pool whenever the morsel path is
-    // active for this row count — single-column views included, so morsel
-    // attribution (run stats, trace attrs) reflects the gather uniformly.
-    const std::vector<uint32_t>& sel = *v.sel;
-    std::vector<Column> gathered(num_cols, Column(DataType::kInt64));
-    ParallelRunStats rs = ThreadPool::Shared().ParallelFor(
-        num_cols, /*morsel_items=*/1, ctx.options.ResolvedThreads(),
-        ctx.pf_options(), [&](size_t, size_t, size_t begin, size_t end) {
-          for (size_t i = begin; i < end; ++i) {
-            gathered[i] = base.column(v.col_idx[i]).TakeBatch(sel);
-          }
-        });
-    if (ctx.run_stats() != nullptr) ctx.run_stats()->MergeFrom(rs);
-    // A cancellation mid-gather leaves dummy columns behind; bail before
-    // Table::Make sees mismatched lengths.
-    AQP_RETURN_IF_ERROR(CheckCancelled(ctx.options.cancel));
-    columns = std::move(gathered);
+    columns.reserve(v.col_idx.size());
+    for (size_t idx : v.col_idx) columns.push_back(base.column(idx));
   } else {
-    columns.reserve(num_cols);
-    for (size_t i = 0; i < num_cols; ++i) {
-      columns.push_back(base.column(v.col_idx[i]).TakeBatch(*v.sel));
-    }
+    AQP_ASSIGN_OR_RETURN(
+        columns, GatherColumns(v.col_idx.size(), v.sel->size(), ctx,
+                               [&](size_t i) {
+                                 return base.column(v.col_idx[i])
+                                     .TakeBatch(*v.sel);
+                               }));
   }
   AQP_ASSIGN_OR_RETURN(Table out,
-                       Table::Make(std::move(schema), std::move(columns)));
+                       Table::Make(ViewSchema(v), std::move(columns)));
   return TrackTable(std::move(out), ctx, what);
 }
 
-// How table-valued operators (join/aggregate/sort/limit/union) obtain a
-// child table: the scalar path recurses through Exec; the vectorized path
-// runs the child as a batch view and gathers at this boundary.
-Result<TablePtr> ExecInput(const PlanPtr& plan, ExecContext& ctx) {
+// How operators obtain a child as a view: the vectorized path runs it as a
+// batch view; the scalar path executes it and wraps the resulting table as
+// the identity view over itself.
+Result<BatchView> ExecInputView(const PlanPtr& plan, ExecContext& ctx) {
   if (ctx.options.ResolvedPath() == ExecPath::kVectorized) {
-    AQP_ASSIGN_OR_RETURN(BatchView view, ExecBatch(plan, ctx));
-    return MaterializeView(view, ctx, "batch materialize");
+    return ExecBatch(plan, ctx);
   }
-  return Exec(plan, ctx);
+  AQP_ASSIGN_OR_RETURN(TablePtr t, Exec(plan, ctx));
+  return IdentityView(std::move(t));
+}
+
+// How table-valued operators (aggregate/sort/limit/union) obtain a child
+// table: the child's view, gathered at this boundary.
+Result<TablePtr> ExecInput(const PlanPtr& plan, ExecContext& ctx) {
+  AQP_ASSIGN_OR_RETURN(BatchView view, ExecInputView(plan, ctx));
+  return MaterializeView(view, ctx, "batch materialize");
 }
 
 // Draws the kept-row set for a sampled scan. Shared verbatim by the scalar
@@ -450,113 +468,199 @@ Result<TablePtr> ExecProject(const PlanNode& node, ExecContext& ctx) {
   return TrackTable(std::move(out), ctx, "project output");
 }
 
-Result<TablePtr> ExecJoin(const PlanNode& node, ExecContext& ctx) {
-  AQP_ASSIGN_OR_RETURN(TablePtr left, ExecInput(node.child(0), ctx));
-  AQP_ASSIGN_OR_RETURN(TablePtr right, ExecInput(node.child(1), ctx));
-  ExecStats* stats = ctx.stats;
+// Morsel size for an n-row loop (morsel_rows = 0 means one morsel).
+size_t MorselRows(size_t n, const ExecContext& ctx) {
+  const size_t rows = ctx.options.morsel_rows > 0 ? ctx.options.morsel_rows : n;
+  return std::max<size_t>(rows, 1);
+}
 
-  std::vector<size_t> lkeys;
-  std::vector<size_t> rkeys;
+// Runs `body` over [0, n) in MorselRows(n) morsels: through the pool when
+// the morsel path is active for n rows, else inline on the caller. Either
+// way cancellation is polled before every morsel.
+void ForEachMorsel(size_t n, ExecContext& ctx,
+                   const ThreadPool::MorselFn& body) {
+  const bool use_morsels = ctx.options.UseMorsels(n);
+  ParallelRunStats rs = ThreadPool::Shared().ParallelFor(
+      n, MorselRows(n, ctx), use_morsels ? ctx.options.ResolvedThreads() : 1,
+      ctx.pf_options(), body);
+  if (use_morsels && ctx.run_stats() != nullptr) ctx.run_stats()->MergeFrom(rs);
+}
+
+// One side of an equi-join: the key columns of a view, addressed by view
+// row (the view's selection maps view rows to base rows).
+struct JoinSide {
+  std::vector<const Column*> keys;
+  const uint32_t* sel = nullptr;  // Null = identity.
+
+  uint32_t BaseRow(size_t i) const {
+    return sel != nullptr ? sel[i] : static_cast<uint32_t>(i);
+  }
+
+  // Hashes view rows [begin, end) one key column at a time with the hash
+  // group-by's HashCombine recipe, flagging rows with a NULL key (NULL keys
+  // never match).
+  void Hash(size_t begin, size_t end, uint64_t* hashes,
+            uint8_t* has_null) const {
+    std::fill(hashes, hashes + (end - begin), 0x9e3779b97f4a7c15ULL);
+    std::fill(has_null, has_null + (end - begin), uint8_t{0});
+    for (const Column* col : keys) {
+      for (size_t i = begin; i < end; ++i) {
+        const uint32_t row = BaseRow(i);
+        hashes[i - begin] = HashCombine(hashes[i - begin], col->HashAt(row));
+        if (col->IsNull(row)) has_null[i - begin] = 1;
+      }
+    }
+  }
+};
+
+// Hash join, build side right, probe side left; both inputs arrive as views
+// (the scalar path's tables as identity views). The build table is flat:
+// power-of-two bucket heads, `next` links and stored hashes, filled in
+// reverse so every chain lists build rows in increasing order. The probe is
+// morsel-parallel; each morsel records (left, right) base-row pairs, and the
+// morsels are concatenated in order, so the output holds probe rows in order
+// and, within one, its matches in build-row order — for every thread count.
+// Each output column is then gathered once through those base rows.
+Result<TablePtr> ExecJoin(const PlanNode& node, ExecContext& ctx) {
+  AQP_ASSIGN_OR_RETURN(BatchView left, ExecInputView(node.child(0), ctx));
+  AQP_ASSIGN_OR_RETURN(BatchView right, ExecInputView(node.child(1), ctx));
+  const Schema left_schema = ViewSchema(left);
+  const Schema right_schema = ViewSchema(right);
+  JoinSide probe{{}, left.sel != nullptr ? left.sel->data() : nullptr};
+  JoinSide build{{}, right.sel != nullptr ? right.sel->data() : nullptr};
   for (const std::string& k : node.left_keys()) {
-    AQP_ASSIGN_OR_RETURN(size_t idx, left->ColumnIndex(k));
-    lkeys.push_back(idx);
+    AQP_ASSIGN_OR_RETURN(size_t idx, left_schema.FieldIndex(k));
+    probe.keys.push_back(&left.base->column(left.col_idx[idx]));
   }
   for (const std::string& k : node.right_keys()) {
-    AQP_ASSIGN_OR_RETURN(size_t idx, right->ColumnIndex(k));
-    rkeys.push_back(idx);
+    AQP_ASSIGN_OR_RETURN(size_t idx, right_schema.FieldIndex(k));
+    build.keys.push_back(&right.base->column(right.col_idx[idx]));
   }
-  for (size_t i = 0; i < lkeys.size(); ++i) {
-    DataType lt = left->column(lkeys[i]).type();
-    DataType rt = right->column(rkeys[i]).type();
-    if (lt != rt) {
+  for (size_t i = 0; i < probe.keys.size(); ++i) {
+    if (probe.keys[i]->type() != build.keys[i]->type()) {
       return Status::InvalidArgument("join key type mismatch: " +
                                      node.left_keys()[i] + " vs " +
                                      node.right_keys()[i]);
     }
   }
 
-  // Build side: right. NULL keys never participate.
-  std::unordered_map<uint64_t, std::vector<uint32_t>> build;
-  build.reserve(right->num_rows());
-  for (size_t j = 0; j < right->num_rows(); ++j) {
-    bool has_null = false;
-    uint64_t h = 0x2545f4914f6cdd1dULL;
-    for (size_t k : rkeys) {
-      if (right->column(k).IsNull(j)) {
-        has_null = true;
-        break;
-      }
-      h = HashCombine(h, right->column(k).HashAt(j));
-    }
-    if (!has_null) build[h].push_back(static_cast<uint32_t>(j));
-  }
-
-  // Output schema: all left fields then all right fields.
-  Schema schema;
-  for (const Field& f : left->schema().fields()) schema.AddField(f);
-  for (const Field& f : right->schema().fields()) schema.AddField(f);
-  Table out(std::move(schema));
-
+  constexpr uint32_t kNoRow = Column::kNoRow;
   const bool left_outer = node.join_type() == JoinType::kLeftOuter;
-  auto emit = [&](size_t li, int64_t rj) {
-    for (size_t c = 0; c < left->num_columns(); ++c) {
-      out.mutable_column(c).AppendFrom(left->column(c), li);
-    }
-    for (size_t c = 0; c < right->num_columns(); ++c) {
-      Column& dst = out.mutable_column(left->num_columns() + c);
-      if (rj < 0) {
-        dst.AppendNull();
-      } else {
-        dst.AppendFrom(right->column(c), static_cast<size_t>(rj));
-      }
-    }
+  const size_t num_probe = left.num_rows;
+  struct MorselMatches {
+    std::vector<uint32_t> left;   // Probe base rows.
+    std::vector<uint32_t> right;  // Build base rows; kNoRow = LEFT JOIN miss.
   };
-
-  size_t emitted = 0;
-  for (size_t i = 0; i < left->num_rows(); ++i) {
-    bool has_null = false;
-    uint64_t h = 0x2545f4914f6cdd1dULL;
-    for (size_t k : lkeys) {
-      if (left->column(k).IsNull(i)) {
-        has_null = true;
-        break;
+  const size_t probe_morsel_rows = MorselRows(num_probe, ctx);
+  std::vector<MorselMatches> matches((num_probe + probe_morsel_rows - 1) /
+                                     probe_morsel_rows);
+  {
+    // Build: hash morsel-parallel, then link in reverse, polling every
+    // morsel of rows.
+    const size_t num_build = right.num_rows;
+    size_t num_buckets = 1;
+    while (num_buckets < num_build) num_buckets <<= 1;
+    const uint64_t mask = num_buckets - 1;
+    std::vector<uint32_t> heads(num_buckets, kNoRow);
+    std::vector<uint32_t> next(num_build);
+    std::vector<uint64_t> hashes(num_build);
+    std::vector<uint8_t> build_null(num_build);
+    ForEachMorsel(num_build, ctx,
+                  [&](size_t, size_t, size_t begin, size_t end) {
+                    build.Hash(begin, end, &hashes[begin], &build_null[begin]);
+                  });
+    const size_t build_morsel_rows = MorselRows(num_build, ctx);
+    for (size_t end = num_build; end > 0;) {
+      AQP_RETURN_IF_ERROR(CheckCancelled(ctx.options.cancel));
+      const size_t begin =
+          end > build_morsel_rows ? end - build_morsel_rows : 0;
+      for (size_t j = end; j-- > begin;) {
+        if (build_null[j] != 0) continue;
+        uint32_t& head = heads[hashes[j] & mask];
+        next[j] = head;
+        head = static_cast<uint32_t>(j);
       }
-      h = HashCombine(h, left->column(k).HashAt(i));
+      end = begin;
     }
-    bool matched = false;
-    if (!has_null) {
-      auto it = build.find(h);
-      if (it != build.end()) {
-        for (uint32_t j : it->second) {
-          bool equal = true;
-          for (size_t k = 0; k < lkeys.size(); ++k) {
-            if (!left->column(lkeys[k]).SlotEquals(i, right->column(rkeys[k]),
-                                                   j)) {
-              equal = false;
-              break;
-            }
-          }
-          if (equal) {
-            emit(i, static_cast<int64_t>(j));
-            matched = true;
-            ++emitted;
-          }
+
+    // Probe. A single INT64 key compares raw values.
+    const bool int64_key = probe.keys.size() == 1 &&
+                           probe.keys[0]->type() == DataType::kInt64;
+    auto keys_equal = [&](uint32_t lrow, uint32_t rrow) {
+      if (int64_key) {
+        return probe.keys[0]->Int64At(lrow) == build.keys[0]->Int64At(rrow);
+      }
+      for (size_t k = 0; k < probe.keys.size(); ++k) {
+        if (!probe.keys[k]->SlotEquals(lrow, *build.keys[k], rrow)) {
+          return false;
         }
       }
-    }
-    if (!matched && left_outer) {
-      emit(i, -1);
-      ++emitted;
-    }
+      return true;
+    };
+    ForEachMorsel(num_probe, ctx, [&](size_t, size_t m, size_t begin,
+                                      size_t end) {
+      std::vector<uint64_t> h(end - begin);
+      std::vector<uint8_t> has_null(end - begin);
+      probe.Hash(begin, end, h.data(), has_null.data());
+      MorselMatches& out = matches[m];
+      out.left.reserve(end - begin);
+      out.right.reserve(end - begin);
+      for (size_t i = begin; i < end; ++i) {
+        const uint32_t lrow = probe.BaseRow(i);
+        bool matched = false;
+        if (has_null[i - begin] == 0) {
+          const uint64_t hash = h[i - begin];
+          for (uint32_t j = heads[hash & mask]; j != kNoRow; j = next[j]) {
+            const uint32_t rrow = build.BaseRow(j);
+            if (hashes[j] != hash || !keys_equal(lrow, rrow)) continue;
+            out.left.push_back(lrow);
+            out.right.push_back(rrow);
+            matched = true;
+          }
+        }
+        if (!matched && left_outer) {
+          out.left.push_back(lrow);
+          out.right.push_back(kNoRow);
+        }
+      }
+    });
+    AQP_RETURN_IF_ERROR(CheckCancelled(ctx.options.cancel));
   }
-  // Table built row-by-row through mutable_column; fix the row count by
-  // rebuilding through Make (columns are consistent lengths).
-  std::vector<Column> cols;
-  cols.reserve(out.num_columns());
-  for (size_t c = 0; c < out.num_columns(); ++c) cols.push_back(out.column(c));
-  AQP_ASSIGN_OR_RETURN(Table fixed, Table::Make(out.schema(), std::move(cols)));
-  if (stats != nullptr) stats->rows_joined += emitted;
-  return TrackTable(std::move(fixed), ctx, "join output");
+
+  // Concatenate the morsels' matches in morsel order.
+  size_t emitted = 0;
+  for (const MorselMatches& mm : matches) emitted += mm.left.size();
+  std::vector<uint32_t> left_rows;
+  std::vector<uint32_t> right_rows;
+  left_rows.reserve(emitted);
+  right_rows.reserve(emitted);
+  for (MorselMatches& mm : matches) {
+    left_rows.insert(left_rows.end(), mm.left.begin(), mm.left.end());
+    right_rows.insert(right_rows.end(), mm.right.begin(), mm.right.end());
+    mm = {};
+  }
+
+  // Gather: all left columns, then all right columns.
+  const size_t num_left_cols = left.col_idx.size();
+  AQP_ASSIGN_OR_RETURN(
+      std::vector<Column> columns,
+      GatherColumns(
+          num_left_cols + right.col_idx.size(), emitted, ctx,
+          [&](size_t c) {
+            if (c < num_left_cols) {
+              return left.base->column(left.col_idx[c]).TakeBatch(left_rows);
+            }
+            const Column& src =
+                right.base->column(right.col_idx[c - num_left_cols]);
+            return left_outer ? src.TakeBatchOrNull(right_rows)
+                              : src.TakeBatch(right_rows);
+          }));
+  Schema schema = left_schema;
+  for (const Field& f : right_schema.fields()) schema.AddField(f);
+  AQP_ASSIGN_OR_RETURN(Table out,
+                       Table::Make(std::move(schema), std::move(columns)));
+  if (ctx.stats != nullptr) ctx.stats->rows_joined += emitted;
+  return TrackTable(std::move(out), ctx, "join output");
 }
 
 Result<TablePtr> ExecAggregate(const PlanNode& node, ExecContext& ctx) {
@@ -702,9 +806,10 @@ Result<TablePtr> Exec(const PlanPtr& plan, ExecContext& ctx) {
 // ---------------------------------------------------------------------------
 // Batch (vectorized) operator path. Scan and filter produce BatchViews —
 // selection vectors over the untouched base table — instead of gathered
-// tables; project over bare column references is a pure remap. Everything
-// else runs the scalar operator body over a materialized input (ExecInput
-// gathers exactly once at that boundary). Results are bit-identical to the
+// tables; project over bare column references is a pure remap. The join
+// reads its child views directly; everything else runs the scalar operator
+// body over a materialized input (ExecInput gathers exactly once at that
+// boundary). Results are bit-identical to the
 // scalar path: sampling draws the same per-morsel RNG streams, predicate
 // masks are exact (so selection membership is independent of morsel
 // boundaries and thread count), and gathers preserve row order.
@@ -888,36 +993,14 @@ Result<BatchView> ExecProjectBatch(const PlanNode& node, ExecContext& ctx) {
     out.num_rows = child.num_rows;
     out.col_idx.reserve(node.exprs().size());
     out.names.reserve(node.exprs().size());
+    const Schema child_schema = ViewSchema(child);
     for (size_t i = 0; i < node.exprs().size(); ++i) {
       const std::string& ref = node.exprs()[i]->column_name();
-      // Same two-pass resolution as Schema::FieldIndex: exact match, then a
-      // unique unqualified-vs-qualified suffix match.
-      size_t found = child.names.size();
-      for (size_t j = 0; j < child.names.size(); ++j) {
-        if (child.names[j] == ref) {
-          found = j;
-          break;
-        }
-      }
-      if (found == child.names.size() &&
-          ref.find('.') == std::string::npos) {
-        const std::string suffix = "." + ref;
-        int matches = 0;
-        for (size_t j = 0; j < child.names.size(); ++j) {
-          const std::string& f = child.names[j];
-          if (f.size() > suffix.size() &&
-              f.compare(f.size() - suffix.size(), suffix.size(), suffix) ==
-                  0) {
-            found = j;
-            ++matches;
-          }
-        }
-        if (matches != 1) found = child.names.size();
-      }
-      if (found == child.names.size()) {
+      Result<size_t> found = child_schema.FieldIndex(ref);
+      if (!found.ok()) {
         return Status::InvalidArgument("unknown column: " + ref);
       }
-      out.col_idx.push_back(child.col_idx[found]);
+      out.col_idx.push_back(child.col_idx[found.value()]);
       out.names.push_back(node.names()[i]);
     }
     return out;
@@ -949,8 +1032,8 @@ Result<BatchView> ExecDispatchBatch(const PlanPtr& plan, ExecContext& ctx) {
       return ExecProjectBatch(*plan, ctx);
     default: {
       // Table-valued operators run their scalar bodies; their children
-      // arrive through ExecInput, which stays on the batch path and
-      // gathers at this boundary.
+      // arrive through ExecInputView, which stays on the batch path (and
+      // ExecInput gathers at this boundary).
       AQP_ASSIGN_OR_RETURN(TablePtr t, ExecDispatch(plan, ctx));
       return IdentityView(std::move(t));
     }

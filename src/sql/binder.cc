@@ -1,6 +1,7 @@
 #include "sql/binder.h"
 
 #include <unordered_map>
+#include <unordered_set>
 
 #include "common/check.h"
 #include "sql/parser.h"
@@ -10,7 +11,10 @@ namespace sql {
 namespace {
 
 // Wraps `scan` in a Project renaming each column to "<qualifier>.<base>".
+// With `refs`, only columns some reference names — qualified or by base
+// name — are kept.
 Result<PlanPtr> QualifiedScan(const TableRef& ref, const Catalog& catalog,
+                              const std::unordered_set<std::string>* refs,
                               Schema* schema_out) {
   AQP_ASSIGN_OR_RETURN(std::shared_ptr<const Table> table,
                        catalog.Get(ref.table));
@@ -19,13 +23,43 @@ Result<PlanPtr> QualifiedScan(const TableRef& ref, const Catalog& catalog,
   std::vector<std::string> names;
   Schema schema;
   for (const Field& f : table->schema().fields()) {
-    std::string qualified = ref.qualifier() + "." + BaseName(f.name);
+    const std::string base = BaseName(f.name);
+    std::string qualified = ref.qualifier() + "." + base;
+    if (refs != nullptr && refs->count(qualified) == 0 &&
+        refs->count(base) == 0) {
+      continue;
+    }
     exprs.push_back(Col(f.name));
     names.push_back(qualified);
     schema.AddField({qualified, f.type});
   }
   *schema_out = std::move(schema);
   return PlanNode::Project(scan, std::move(exprs), std::move(names));
+}
+
+void CollectColumnRefs(const SqlExprPtr& e,
+                       std::unordered_set<std::string>* refs) {
+  if (e == nullptr) return;
+  if (e->kind == SqlExpr::Kind::kColumn) refs->insert(e->column);
+  for (const SqlExprPtr& c : e->children) CollectColumnRefs(c, refs);
+}
+
+// Every column name `stmt` references: select items, WHERE, GROUP BY,
+// HAVING, ORDER BY and the join conditions.
+std::unordered_set<std::string> ReferencedColumns(const SelectStmt& stmt) {
+  std::unordered_set<std::string> refs;
+  for (const SelectItem& item : stmt.items) CollectColumnRefs(item.expr, &refs);
+  CollectColumnRefs(stmt.where, &refs);
+  for (const SqlExprPtr& g : stmt.group_by) CollectColumnRefs(g, &refs);
+  CollectColumnRefs(stmt.having, &refs);
+  for (const OrderItem& item : stmt.order_by) refs.insert(item.column);
+  for (const JoinClause& join : stmt.joins) {
+    for (const auto& [a, b] : join.conditions) {
+      refs.insert(a);
+      refs.insert(b);
+    }
+  }
+  return refs;
 }
 
 // Lowers a SqlExpr (with no aggregate calls remaining) to an engine Expr.
@@ -119,14 +153,23 @@ Result<BoundQuery> Bind(const SelectStmt& stmt, const Catalog& catalog) {
   bound.error_spec = stmt.error_spec;
   bound.tables.push_back(stmt.from);
 
-  // FROM + JOINs, building the qualified running schema.
+  // FROM + JOINs, building the qualified running schema. A join gathers
+  // every column its inputs carry, so with JOINs each scan keeps only the
+  // referenced columns; a single-table scan keeps all of them (its
+  // projection is then a zero-copy view of the base table).
+  std::unordered_set<std::string> refs;
+  if (!stmt.joins.empty()) refs = ReferencedColumns(stmt);
+  const std::unordered_set<std::string>* scan_refs =
+      stmt.joins.empty() ? nullptr : &refs;
   Schema schema;
-  AQP_ASSIGN_OR_RETURN(PlanPtr plan, QualifiedScan(stmt.from, catalog, &schema));
+  AQP_ASSIGN_OR_RETURN(PlanPtr plan,
+                       QualifiedScan(stmt.from, catalog, scan_refs, &schema));
   for (const JoinClause& join : stmt.joins) {
     bound.tables.push_back(join.table);
     Schema right_schema;
-    AQP_ASSIGN_OR_RETURN(PlanPtr right,
-                         QualifiedScan(join.table, catalog, &right_schema));
+    AQP_ASSIGN_OR_RETURN(
+        PlanPtr right,
+        QualifiedScan(join.table, catalog, scan_refs, &right_schema));
     std::vector<std::string> left_keys;
     std::vector<std::string> right_keys;
     for (const auto& [a, b] : join.conditions) {

@@ -278,52 +278,64 @@ Column Column::Slice(size_t offset, size_t length) const {
   return out;
 }
 
-Column Column::TakeBatch(const std::vector<uint32_t>& indices) const {
+template <bool kMayMiss>
+Column Column::Gather(const std::vector<uint32_t>& indices) const {
   Column out(type_);
   const size_t n = indices.size();
   const uint32_t* idx = indices.data();
+  // Misses stay default-valued and invalid, exactly as AppendNull leaves them.
+  auto missed = [idx](size_t i) { return kMayMiss && idx[i] == kNoRow; };
   out.valid_.resize(n);
   uint8_t* ov = out.valid_.data();
-  if (null_count_ == 0) {
+  if (null_count_ == 0 && !kMayMiss) {
     std::fill(ov, ov + n, uint8_t{1});
   } else {
     const uint8_t* v = valid_.data();
     size_t nulls = 0;
     for (size_t i = 0; i < n; ++i) {
-      ov[i] = v[idx[i]];
+      ov[i] = missed(i) ? 0 : v[idx[i]];
       nulls += ov[i] == 0 ? 1 : 0;
     }
     out.null_count_ = nulls;
   }
+  auto gather = [&](const auto* src, auto* dst) {
+    for (size_t i = 0; i < n; ++i) {
+      if (!missed(i)) dst[i] = src[idx[i]];
+    }
+  };
   switch (type_) {
-    case DataType::kInt64: {
+    case DataType::kInt64:
       out.ints_.resize(n);
-      const int64_t* src = ints_.data();
-      int64_t* dst = out.ints_.data();
-      for (size_t i = 0; i < n; ++i) dst[i] = src[idx[i]];
+      gather(ints_.data(), out.ints_.data());
       break;
-    }
-    case DataType::kDouble: {
+    case DataType::kDouble:
       out.doubles_.resize(n);
-      const double* src = doubles_.data();
-      double* dst = out.doubles_.data();
-      for (size_t i = 0; i < n; ++i) dst[i] = src[idx[i]];
+      gather(doubles_.data(), out.doubles_.data());
       break;
-    }
-    case DataType::kString: {
+    case DataType::kString:
       out.strings_.reserve(n);
-      for (size_t i = 0; i < n; ++i) out.strings_.push_back(strings_[idx[i]]);
+      for (size_t i = 0; i < n; ++i) {
+        if (missed(i)) {
+          out.strings_.emplace_back();
+        } else {
+          out.strings_.push_back(strings_[idx[i]]);
+        }
+      }
       break;
-    }
-    case DataType::kBool: {
+    case DataType::kBool:
       out.bools_.resize(n);
-      const uint8_t* src = bools_.data();
-      uint8_t* dst = out.bools_.data();
-      for (size_t i = 0; i < n; ++i) dst[i] = src[idx[i]];
+      gather(bools_.data(), out.bools_.data());
       break;
-    }
   }
   return out;
+}
+
+Column Column::TakeBatch(const std::vector<uint32_t>& indices) const {
+  return Gather<false>(indices);
+}
+
+Column Column::TakeBatchOrNull(const std::vector<uint32_t>& indices) const {
+  return Gather<true>(indices);
 }
 
 Column Column::SliceBatch(size_t offset, size_t length) const {

@@ -132,6 +132,13 @@ class Column {
   /// Take, without per-row type dispatch (vectorized path).
   Column TakeBatch(const std::vector<uint32_t>& indices) const;
 
+  /// Index that TakeBatchOrNull turns into a NULL slot.
+  static constexpr uint32_t kNoRow = UINT32_MAX;
+
+  /// TakeBatch where an index equal to kNoRow yields a NULL slot (the
+  /// unmatched side of an outer join).
+  Column TakeBatchOrNull(const std::vector<uint32_t>& indices) const;
+
   /// Contiguous sub-range [offset, offset+length) as a new column
   /// (row-at-a-time reference path).
   Column Slice(size_t offset, size_t length) const;
@@ -164,6 +171,10 @@ class Column {
   uint64_t ApproxBytes() const;
 
  private:
+  // Shared body of TakeBatch / TakeBatchOrNull.
+  template <bool kMayMiss>
+  Column Gather(const std::vector<uint32_t>& indices) const;
+
   DataType type_;
   std::vector<int64_t> ints_;
   std::vector<double> doubles_;

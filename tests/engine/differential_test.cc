@@ -2,9 +2,10 @@
 // row-at-a-time reference: a thousand seeded random queries — predicates
 // over nullable int/double/string/bool columns (comparisons, BETWEEN, IN,
 // LIKE, Kleene AND/OR/NOT, arithmetic fallbacks, NaN literals), sampled
-// scans, projects, every aggregate kind, group-bys, sorts, limits, joins —
-// must produce CELL-FOR-CELL BIT-IDENTICAL results on both paths, at every
-// thread count in {1, 2, 4, 8}. Queries that error must error identically.
+// scans, projects, every aggregate kind, group-bys, sorts, limits, inner
+// and LEFT joins on one- and two-column keys — must produce CELL-FOR-CELL
+// BIT-IDENTICAL results on both paths, at every thread count in
+// {1, 2, 4, 8}. Queries that error must error identically.
 // A second suite drives whole approximate queries through ApproxExecutor
 // and requires the confidence intervals to match bit for bit too.
 #include <cmath>
@@ -224,11 +225,28 @@ PlanPtr RandomPlan(Pcg32& rng) {
   if (rng.UniformUint32(10) < 8) {
     plan = PlanNode::Filter(plan, RandomPredicate(rng, 2));
   }
-  if (rng.UniformUint32(10) == 0) {
-    plan = PlanNode::Join(plan, PlanNode::Scan("u"), JoinType::kInner, {"k"},
-                          {"j"});
+  if (rng.UniformUint32(10) < 2) {
+    // Inner, LEFT, and a two-column INT64+STRING key (either type). The
+    // scalar path hands the join tables, the batch path selection views.
+    switch (rng.UniformUint32(3)) {
+      case 0:
+        plan = PlanNode::Join(plan, PlanNode::Scan("u"), JoinType::kInner,
+                              {"k"}, {"j"});
+        break;
+      case 1:
+        plan = PlanNode::Join(plan, PlanNode::Scan("u"),
+                              JoinType::kLeftOuter, {"k"}, {"j"});
+        break;
+      default:
+        plan = PlanNode::Join(plan, PlanNode::Scan("u"),
+                              rng.UniformUint32(2) == 0 ? JoinType::kInner
+                                                        : JoinType::kLeftOuter,
+                              {"k", "s"}, {"j", "us"});
+        break;
+    }
     names.push_back("j");
     names.push_back("y");
+    names.push_back("us");
   }
   if (rng.UniformUint32(10) < 3) {
     if (rng.UniformUint32(2) == 0) {
@@ -306,13 +324,19 @@ TEST(DifferentialTest, ThousandRandomQueriesBitIdenticalAcrossPathsAndThreads) {
   const size_t kRowChoices[] = {0, 1, 7, 63, 129, 257, 500, 1200, 3000, 100};
   Catalog catalog;
 
-  // Join side table: key j in [0, 6), measure y.
+  // Join side table: key j in [0, 6), measure y, second key us (a t.s
+  // vocabulary word or NULL).
   {
-    Table u(Schema({{"j", DataType::kInt64}, {"y", DataType::kDouble}}));
+    Table u(Schema({{"j", DataType::kInt64},
+                    {"y", DataType::kDouble},
+                    {"us", DataType::kString}}));
     Pcg32 urng(77);
     for (size_t r = 0; r < 40; ++r) {
+      Value us = urng.UniformUint32(10) == 0
+                     ? Value::Null()
+                     : Value(std::string(kVocab[urng.UniformUint32(8)]));
       Status s = u.AppendRow({Value(static_cast<int64_t>(urng.UniformUint32(6))),
-                              Value(urng.Gaussian())});
+                              Value(urng.Gaussian()), std::move(us)});
       AQP_CHECK(s.ok());
     }
     catalog.RegisterOrReplace("u", std::make_shared<const Table>(std::move(u)));

@@ -1,8 +1,14 @@
 #include "engine/executor.h"
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include <gtest/gtest.h>
+
+#include "common/cancellation.h"
+#include "common/check.h"
+#include "common/memory_tracker.h"
 
 namespace aqp {
 namespace {
@@ -117,6 +123,39 @@ TEST(ExecutorTest, JoinKeyTypeMismatchRejected) {
                              PlanNode::Scan("customers"), JoinType::kInner,
                              {"o.cust"}, {"c.name"});
   EXPECT_FALSE(Execute(p, cat).ok());
+}
+
+TEST(ExecutorTest, JoinStopsAtDeadlineMidJoin) {
+  // 1M probe rows against a 1M-row build side: far longer than the 5 ms
+  // deadline, while the two in-memory scans below the join take
+  // microseconds, so the deadline fires inside the join itself.
+  constexpr size_t kRows = size_t{1} << 20;
+  std::vector<int64_t> keys(kRows);
+  for (size_t i = 0; i < kRows; ++i) keys[i] = static_cast<int64_t>(i);
+  auto make = [&](const char* key, const char* value) {
+    Result<Table> t = Table::Make(
+        Schema({{key, DataType::kInt64}, {value, DataType::kInt64}}),
+        {Column::FromInt64(keys), Column::FromInt64(keys)});
+    AQP_CHECK(t.ok());
+    return std::make_shared<const Table>(std::move(t).value());
+  };
+  Catalog cat;
+  ASSERT_TRUE(cat.Register("l", make("l.k", "l.v")).ok());
+  ASSERT_TRUE(cat.Register("r", make("r.k", "r.v")).ok());
+  CancellationSource source;
+  CancellationToken token = source.token();
+  MemoryTracker memory;
+  ExecOptions options;
+  options.cancel = &token;
+  options.memory = &memory;
+  source.SetDeadlineAfterMs(5);
+  Result<Table> out =
+      Execute(PlanNode::Join(PlanNode::Scan("l"), PlanNode::Scan("r"),
+                             JoinType::kInner, {"l.k"}, {"r.k"}),
+              cat, nullptr, nullptr, options);
+  ASSERT_FALSE(out.ok());
+  EXPECT_EQ(out.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(memory.used(), 0u);
 }
 
 TEST(ExecutorTest, AggregatePlan) {

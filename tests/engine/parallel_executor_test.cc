@@ -8,6 +8,9 @@
 
 #include <cmath>
 #include <cstdint>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -255,6 +258,158 @@ TEST(ParallelExecutorTest, SmallInputsNeverUseMorselPath) {
   Table out = RunPlan(p, cat, 8, &stats);
   EXPECT_DOUBLE_EQ(out.column(0).DoubleAt(0), 4950.0);
   EXPECT_EQ(stats.parallel.morsels, 0u);
+}
+
+// Join inputs covering what the hash join must get right: duplicate build
+// keys, NULL keys on both sides, keys unmatched on either side (probe keys
+// in [10, 70), build keys in [0, 60)), a STRING key column for the
+// INT64+STRING two-column key, and a DOUBLE key with -0.0/+0.0 and NaN.
+std::shared_ptr<const Table> JoinTable(Pcg32& rng, size_t rows, bool probe) {
+  Column key(DataType::kInt64);
+  Column str(DataType::kString);
+  Column dbl(DataType::kDouble);
+  Column measure(DataType::kDouble);
+  const char* strings[] = {"a", "b", "c"};
+  const double odd[] = {-0.0, 0.0, std::nan("")};
+  for (size_t i = 0; i < rows; ++i) {
+    const int64_t k = static_cast<int64_t>(rng.UniformUint32(60));
+    if (rng.UniformUint32(20) == 0) {
+      key.AppendNull();
+    } else {
+      key.AppendInt64(probe ? k + 10 : k);
+    }
+    if (rng.UniformUint32(20) == 0) {
+      str.AppendNull();
+    } else {
+      str.AppendString(strings[rng.UniformUint32(3)]);
+    }
+    if (rng.UniformUint32(20) == 0) {
+      dbl.AppendNull();
+    } else if (rng.UniformUint32(10) == 0) {
+      dbl.AppendDouble(odd[rng.UniformUint32(3)]);
+    } else {
+      dbl.AppendDouble(0.5 * rng.UniformUint32(40));
+    }
+    measure.AppendDouble(rng.Gaussian());
+  }
+  Schema schema = probe ? Schema({{"k", DataType::kInt64},
+                                  {"s", DataType::kString},
+                                  {"d", DataType::kDouble},
+                                  {"m", DataType::kDouble}})
+                        : Schema({{"qk", DataType::kInt64},
+                                  {"qs", DataType::kString},
+                                  {"qd", DataType::kDouble},
+                                  {"y", DataType::kDouble}});
+  Result<Table> t = Table::Make(std::move(schema),
+                                {std::move(key), std::move(str),
+                                 std::move(dbl), std::move(measure)});
+  AQP_CHECK(t.ok());
+  return std::make_shared<const Table>(std::move(t).value());
+}
+
+// Nested-loop reference: probe rows in order, each followed by its matching
+// build rows in build order (a NULL key never matches); a LEFT JOIN pads an
+// unmatched probe row with NULLs.
+Table NestedLoopJoin(const Table& l, const Table& r,
+                     const std::vector<std::string>& lkeys,
+                     const std::vector<std::string>& rkeys, JoinType type) {
+  std::vector<size_t> lk;
+  std::vector<size_t> rk;
+  for (const std::string& k : lkeys) lk.push_back(l.ColumnIndex(k).value());
+  for (const std::string& k : rkeys) rk.push_back(r.ColumnIndex(k).value());
+  Schema schema = l.schema();
+  for (const Field& f : r.schema().fields()) schema.AddField(f);
+  std::vector<Column> cols;
+  for (const Field& f : schema.fields()) cols.emplace_back(f.type);
+  auto emit = [&](size_t i, const size_t* j) {
+    for (size_t c = 0; c < l.num_columns(); ++c) {
+      cols[c].AppendFrom(l.column(c), i);
+    }
+    for (size_t c = 0; c < r.num_columns(); ++c) {
+      Column& dst = cols[l.num_columns() + c];
+      if (j == nullptr) {
+        dst.AppendNull();
+      } else {
+        dst.AppendFrom(r.column(c), *j);
+      }
+    }
+  };
+  for (size_t i = 0; i < l.num_rows(); ++i) {
+    bool matched = false;
+    for (size_t j = 0; j < r.num_rows(); ++j) {
+      bool equal = true;
+      for (size_t k = 0; k < lk.size() && equal; ++k) {
+        const Column& a = l.column(lk[k]);
+        const Column& b = r.column(rk[k]);
+        equal = !a.IsNull(i) && !b.IsNull(j) && a.SlotEquals(i, b, j);
+      }
+      if (equal) {
+        emit(i, &j);
+        matched = true;
+      }
+    }
+    if (!matched && type == JoinType::kLeftOuter) emit(i, nullptr);
+  }
+  return Table::Make(std::move(schema), std::move(cols)).value();
+}
+
+TEST(ParallelExecutorTest, HashJoinMatchesNestedLoopAcrossThreadCounts) {
+  // Low thresholds (as in the differential harness): the 3000-row probe side
+  // and the 400-row build side both take the morsel path, the 200-row probe
+  // side stays below parallel_min_rows.
+  ExecOptions base;
+  base.morsel_rows = 128;
+  base.parallel_min_rows = 256;
+  Pcg32 rng(41);
+  Catalog cat;
+  ASSERT_TRUE(cat.Register("p_big", JoinTable(rng, 3000, true)).ok());
+  ASSERT_TRUE(cat.Register("p_small", JoinTable(rng, 200, true)).ok());
+  ASSERT_TRUE(cat.Register("q", JoinTable(rng, 400, false)).ok());
+  struct KeySet {
+    std::vector<std::string> left;
+    std::vector<std::string> right;
+  };
+  const KeySet key_sets[] = {
+      {{"k"}, {"qk"}}, {{"k", "s"}, {"qk", "qs"}}, {{"d"}, {"qd"}}};
+  size_t nonempty = 0;
+  for (const char* probe : {"p_big", "p_small"}) {
+    for (bool filtered : {false, true}) {
+      // Filtered inputs reach the batch join as views with selections.
+      PlanPtr left = PlanNode::Scan(probe);
+      PlanPtr right = PlanNode::Scan("q");
+      if (filtered) {
+        left = PlanNode::Filter(left, Gt(Col("m"), Lit(-0.5)));
+        right = PlanNode::Filter(right, Lt(Col("y"), Lit(0.5)));
+      }
+      Table l = RunPlan(left, cat, 1);
+      Table r = RunPlan(right, cat, 1);
+      for (const KeySet& keys : key_sets) {
+        for (JoinType type : {JoinType::kInner, JoinType::kLeftOuter}) {
+          Table expected = NestedLoopJoin(l, r, keys.left, keys.right, type);
+          nonempty += expected.num_rows() > 0 ? 1 : 0;
+          PlanPtr join =
+              PlanNode::Join(left, right, type, keys.left, keys.right);
+          for (ExecPath path : {ExecPath::kScalar, ExecPath::kVectorized}) {
+            for (size_t threads : kThreadGrid) {
+              ExecOptions opt = base;
+              opt.path = path;
+              opt.num_threads = threads;
+              Result<Table> got = Execute(join, cat, nullptr, nullptr, opt);
+              ASSERT_TRUE(got.ok()) << got.status().ToString();
+              std::string what = std::string(probe) + " keys=" +
+                                 keys.left.back() + " filtered=" +
+                                 std::to_string(filtered) + " left=" +
+                                 std::to_string(type == JoinType::kLeftOuter) +
+                                 " threads=" + std::to_string(threads);
+              EXPECT_TRUE(testutil::TablesBitIdentical(expected, got.value()))
+                  << what;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(nonempty, 24u);
 }
 
 }  // namespace

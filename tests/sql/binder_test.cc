@@ -1,5 +1,10 @@
 #include "sql/binder.h"
 
+#include <map>
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace aqp {
@@ -158,6 +163,107 @@ TEST(BinderTest, UnresolvableJoinConditionRejected) {
                    "ON s.ghost = c.spirit",
                    cat)
                    .ok());
+}
+
+// Two tables sharing the key name `k` (so unqualified `k` is ambiguous),
+// each with a column no statement below references.
+Catalog PruneCatalog() {
+  Catalog cat;
+  auto a = std::make_shared<Table>(Schema({{"k", DataType::kInt64},
+                                           {"x", DataType::kInt64},
+                                           {"y", DataType::kDouble},
+                                           {"z", DataType::kDouble},
+                                           {"unused_a", DataType::kInt64}}));
+  auto b = std::make_shared<Table>(Schema({{"k", DataType::kInt64},
+                                           {"w", DataType::kString},
+                                           {"v", DataType::kInt64},
+                                           {"unused_b", DataType::kInt64}}));
+  for (int64_t i = 0; i < 4; ++i) {
+    EXPECT_TRUE(a->AppendRow({Value(i % 2), Value(i), Value(1.0 * i),
+                              Value(2.0 * i), Value(i)})
+                    .ok());
+  }
+  EXPECT_TRUE(b->AppendRow({Value(int64_t{0}), Value(std::string("p")),
+                            Value(int64_t{5}), Value(int64_t{0})})
+                  .ok());
+  EXPECT_TRUE(b->AppendRow({Value(int64_t{1}), Value(std::string("q")),
+                            Value(int64_t{7}), Value(int64_t{0})})
+                  .ok());
+  EXPECT_TRUE(cat.Register("a", a).ok());
+  EXPECT_TRUE(cat.Register("b", b).ok());
+  return cat;
+}
+
+// The output names of each scan's projection, keyed by scanned table.
+void CollectScanProjections(
+    const PlanPtr& plan, std::map<std::string, std::vector<std::string>>* out) {
+  if (plan->kind() == PlanKind::kProject &&
+      plan->child()->kind() == PlanKind::kScan) {
+    (*out)[plan->child()->table_name()] = plan->names();
+    return;
+  }
+  for (size_t i = 0; i < plan->num_children(); ++i) {
+    CollectScanProjections(plan->child(i), out);
+  }
+}
+
+std::map<std::string, std::vector<std::string>> ScanProjections(
+    std::string_view sql, const Catalog& cat) {
+  Result<BoundQuery> bound = BindSql(sql, cat);
+  EXPECT_TRUE(bound.ok()) << bound.status().ToString();
+  std::map<std::string, std::vector<std::string>> out;
+  if (bound.ok()) CollectScanProjections(bound.value().plan, &out);
+  return out;
+}
+
+using Names = std::vector<std::string>;
+
+TEST(BinderTest, JoinScansKeepOnlyReferencedColumns) {
+  Catalog cat = PruneCatalog();
+  // Qualified (a.x), unqualified (w, y, v), join keys, HAVING-only (z) and
+  // ORDER BY references; unused_a / unused_b are never gathered.
+  const char* sql =
+      "SELECT a.x, w, SUM(y) AS s FROM a JOIN b ON a.k = b.k "
+      "WHERE v > 1 GROUP BY a.x, w HAVING MAX(z) >= 0 ORDER BY a.x";
+  auto scans = ScanProjections(sql, cat);
+  EXPECT_EQ(scans["a"], (Names{"a.k", "a.x", "a.y", "a.z"}));
+  EXPECT_EQ(scans["b"], (Names{"b.k", "b.w", "b.v"}));
+  Table out = ExecuteSql(sql, cat).value();
+  ASSERT_EQ(out.num_rows(), 4u);
+  EXPECT_EQ(out.column(1).StringAt(1), "q");  // x = 1 has k = 1.
+
+  // Aliases qualify; a column named only by an alias-qualified reference is
+  // kept on that side alone.
+  scans = ScanProjections(
+      "SELECT COUNT(*) FROM a AS l JOIN b AS r ON r.k = l.k WHERE l.y > 0",
+      cat);
+  EXPECT_EQ(scans["a"], (Names{"l.k", "l.y"}));
+  EXPECT_EQ(scans["b"], (Names{"r.k"}));
+}
+
+TEST(BinderTest, SingleTableScanKeepsEveryColumn) {
+  Catalog cat = PruneCatalog();
+  auto scans = ScanProjections("SELECT SUM(y) FROM a WHERE x > 0", cat);
+  EXPECT_EQ(scans["a"], (Names{"a.k", "a.x", "a.y", "a.z", "a.unused_a"}));
+}
+
+TEST(BinderTest, JoinNameErrorsUnchangedByPruning) {
+  Catalog cat = PruneCatalog();
+  Status unknown =
+      BindSql("SELECT a.ghost FROM a JOIN b ON a.k = b.k", cat).status();
+  EXPECT_EQ(unknown.code(), StatusCode::kNotFound);
+  EXPECT_EQ(unknown.message(), "no column named a.ghost");
+
+  Status ambiguous =
+      BindSql("SELECT SUM(y) FROM a JOIN b ON a.k = b.k WHERE k > 0", cat)
+          .status();
+  EXPECT_EQ(ambiguous.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(ambiguous.message(), "ambiguous column reference: k");
+
+  Status join =
+      BindSql("SELECT 1 FROM a JOIN b ON a.k = b.ghost", cat).status();
+  EXPECT_EQ(join.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(join.message(), "cannot resolve join condition a.k = b.ghost");
 }
 
 TEST(BinderTest, UnknownTableRejected) {
