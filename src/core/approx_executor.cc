@@ -1,5 +1,6 @@
 #include "core/approx_executor.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <optional>
@@ -13,6 +14,7 @@
 #include "core/estimate.h"
 #include "core/missing_groups.h"
 #include "core/result_assembly.h"
+#include "core/rewriter.h"
 #include "obs/metrics.h"
 #include "sampling/bernoulli.h"
 #include "sampling/block.h"
@@ -27,108 +29,46 @@ double Seconds(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-sql::SqlExprPtr ColumnExpr(std::string name) {
-  auto e = std::make_shared<sql::SqlExpr>();
-  e->kind = sql::SqlExpr::Kind::kColumn;
-  e->column = std::move(name);
-  return e;
-}
-
-// The pre-aggregation twin of the user query: selects the group keys, the
-// aggregate arguments, and the sample-design columns, keeping FROM / JOIN /
-// WHERE, dropping aggregation and everything after it.
-sql::SelectStmt FlattenStatement(const sql::SelectStmt& stmt,
-                                 const sql::BoundQuery& bound) {
-  sql::SelectStmt flat;
-  for (size_t g = 0; g < stmt.group_by.size(); ++g) {
-    flat.items.push_back({stmt.group_by[g], "__g" + std::to_string(g)});
-  }
-  for (size_t a = 0; a < bound.aggregates.size(); ++a) {
-    const sql::BoundAggregate& agg = bound.aggregates[a];
-    if (agg.kind == AggKind::kCountStar) continue;
-    // Re-parse is unnecessary: the bound aggregate already carries the
-    // lowered engine expression, but the flattened statement needs SQL AST
-    // items; we reference the original AST via the display text is fragile,
-    // so instead we walk the original items to find the arg ASTs.
-    flat.items.push_back({nullptr, "__arg" + std::to_string(a)});
-  }
-  flat.from = stmt.from;
-  flat.from.sample = SampleSpec{};  // Sampling happens via table substitution.
-  flat.joins = stmt.joins;
-  for (sql::JoinClause& join : flat.joins) join.table.sample = SampleSpec{};
-  flat.where = stmt.where;
-  flat.items.push_back({ColumnExpr("__unit"), "__unit"});
-  flat.items.push_back({ColumnExpr("__weight"), "__weight"});
-  return flat;
-}
-
-// Finds the AST of each bound aggregate's argument by display text, walking
-// the select items and HAVING.
-void CollectAggAsts(const sql::SqlExprPtr& e,
-                    std::unordered_map<std::string, sql::SqlExprPtr>* out) {
-  if (e == nullptr) return;
-  if (e->kind == sql::SqlExpr::Kind::kAggCall) {
-    out->emplace(e->ToString(), e);
-    return;
-  }
-  for (const sql::SqlExprPtr& c : e->children) CollectAggAsts(c, out);
-}
-
-// Counts occurrences of each aggregate display inside one select item.
-void CountAggOccurrences(const sql::SqlExprPtr& e,
-                         std::unordered_map<std::string, int>* counts) {
-  if (e == nullptr) return;
-  if (e->kind == sql::SqlExpr::Kind::kAggCall) {
-    (*counts)[e->ToString()]++;
-    return;
-  }
-  for (const sql::SqlExprPtr& c : e->children) CountAggOccurrences(c, counts);
-}
-
-// Copies the sample's table and appends the design columns __unit / __weight.
-Result<Table> WithDesignColumns(const Sample& sample) {
-  Schema schema = sample.table.schema();
-  schema.AddField({"__unit", DataType::kInt64});
-  schema.AddField({"__weight", DataType::kDouble});
+// Moves the sample's columns into a table that carries the design columns
+// kUnitColumn / kWeightColumn after them. `sample->table` is left hollow
+// until AdoptStageOutput refills it.
+Result<Table> WithDesignColumns(Sample* sample) {
+  Schema schema = sample->table.schema();
+  schema.AddField({kUnitColumn, DataType::kInt64});
+  schema.AddField({kWeightColumn, DataType::kDouble});
+  const size_t rows = sample->num_rows();
   std::vector<Column> cols;
   cols.reserve(schema.num_fields());
-  for (size_t c = 0; c < sample.table.num_columns(); ++c) {
-    cols.push_back(sample.table.column(c));
+  for (size_t c = 0; c < sample->table.num_columns(); ++c) {
+    cols.push_back(std::move(sample->table.mutable_column(c)));
   }
   Column unit(DataType::kInt64);
   Column weight(DataType::kDouble);
-  unit.Reserve(sample.num_rows());
-  weight.Reserve(sample.num_rows());
-  for (size_t i = 0; i < sample.num_rows(); ++i) {
-    unit.AppendInt64(static_cast<int64_t>(sample.unit_ids[i]));
-    weight.AppendDouble(sample.weights[i]);
+  unit.Reserve(rows);
+  weight.Reserve(rows);
+  for (size_t i = 0; i < rows; ++i) {
+    unit.AppendInt64(static_cast<int64_t>(sample->unit_ids[i]));
+    weight.AppendDouble(sample->weights[i]);
   }
   cols.push_back(std::move(unit));
   cols.push_back(std::move(weight));
   return Table::Make(std::move(schema), std::move(cols));
 }
 
-// Rebuilds a design-carrying Sample from the flattened-query output (which
-// has __unit and __weight columns), inheriting the design metadata of the
-// base-table sample `design`.
-Result<Sample> ReconstituteSample(Table result, const Sample& design) {
-  Sample sample;
-  AQP_ASSIGN_OR_RETURN(size_t unit_col, result.ColumnIndex("__unit"));
-  AQP_ASSIGN_OR_RETURN(size_t weight_col, result.ColumnIndex("__weight"));
-  sample.unit_ids.reserve(result.num_rows());
-  sample.weights.reserve(result.num_rows());
-  for (size_t i = 0; i < result.num_rows(); ++i) {
-    sample.unit_ids.push_back(
-        static_cast<uint32_t>(result.column(unit_col).Int64At(i)));
-    sample.weights.push_back(result.column(weight_col).DoubleAt(i));
+// Makes the stage plan's output, which carries the design columns, the rows
+// of `sample`; the design metadata (unit sizes and counts, rates) stays.
+Status AdoptStageOutput(Table output, Sample* sample) {
+  AQP_ASSIGN_OR_RETURN(size_t unit_col, output.ColumnIndex(kUnitColumn));
+  AQP_ASSIGN_OR_RETURN(size_t weight_col, output.ColumnIndex(kWeightColumn));
+  sample->unit_ids.resize(output.num_rows());
+  sample->weights.resize(output.num_rows());
+  for (size_t i = 0; i < output.num_rows(); ++i) {
+    sample->unit_ids[i] =
+        static_cast<uint32_t>(output.column(unit_col).Int64At(i));
+    sample->weights[i] = output.column(weight_col).DoubleAt(i);
   }
-  sample.num_units_sampled = design.num_units_sampled;
-  sample.unit_sizes = design.unit_sizes;
-  sample.num_units_population = design.num_units_population;
-  sample.nominal_rate = design.nominal_rate;
-  sample.population_rows = design.population_rows;
-  sample.table = std::move(result);
-  return sample;
+  sample->table = std::move(output);
+  return Status::OK();
 }
 
 }  // namespace
@@ -296,43 +236,18 @@ Result<ApproxResult> ApproxExecutor::Execute(const sql::PreparedQuery& query,
                 ")"
           : "bernoulli-row";
 
-  // Flattened (pre-aggregation) statement; aggregate-argument items need
-  // their original ASTs.
-  sql::SelectStmt flat = FlattenStatement(stmt, bound);
-  {
-    std::unordered_map<std::string, sql::SqlExprPtr> agg_asts;
-    for (const sql::SelectItem& item : stmt.items) {
-      CollectAggAsts(item.expr, &agg_asts);
-    }
-    CollectAggAsts(stmt.having, &agg_asts);
-    size_t flat_idx = stmt.group_by.size();
-    for (size_t a = 0; a < bound.aggregates.size(); ++a) {
-      const sql::BoundAggregate& agg = bound.aggregates[a];
-      if (agg.kind == AggKind::kCountStar) continue;
-      auto it = agg_asts.find(agg.display);
-      if (it == agg_asts.end() || it->second->children.empty()) {
-        return Status::Internal("lost aggregate argument AST: " + agg.display);
-      }
-      flat.items[flat_idx].expr = it->second->children[0];
-      ++flat_idx;
-    }
+  // A stage samples the target once; a second scan of it (a self-join)
+  // would need its own design columns and a joint estimator.
+  const std::vector<std::string> scanned = ScannedTables(bound.plan);
+  if (std::count(scanned.begin(), scanned.end(), target_table) > 1) {
+    return fallback("table " + target_table +
+                    " is scanned more than once (self-join); a stage samples "
+                    "each table once");
   }
+  AQP_ASSIGN_OR_RETURN(StagePlan stage_plan,
+                       BuildStagePlan(bound.plan, target_table));
 
-  // Estimation-side specs over the flattened output's column names.
-  std::vector<ExprPtr> group_exprs;
-  for (size_t g = 0; g < stmt.group_by.size(); ++g) {
-    group_exprs.push_back(Col("__g" + std::to_string(g)));
-  }
-  std::vector<AggSpec> agg_specs;
-  for (size_t a = 0; a < bound.aggregates.size(); ++a) {
-    const sql::BoundAggregate& agg = bound.aggregates[a];
-    ExprPtr arg = agg.kind == AggKind::kCountStar
-                      ? nullptr
-                      : Col("__arg" + std::to_string(a));
-    agg_specs.push_back({agg.kind, arg, agg.internal_alias});
-  }
-
-  // One stage = sample -> substitute -> run flattened query -> estimate.
+  // One stage = sample -> substitute -> run the stage plan -> estimate.
   auto run_stage =
       [&](const char* stage, double rate,
           uint64_t seed) -> Result<std::pair<GroupedEstimates, ExecStats>> {
@@ -363,10 +278,10 @@ Result<ApproxResult> ApproxExecutor::Execute(const sql::PreparedQuery& query,
       draw_span.AddAttr("parallel_steals", sampler_stats.steals);
     }
     draw_span.End();
-    AQP_ASSIGN_OR_RETURN(Table design_table, WithDesignColumns(sample));
-    // The design-carrying sample copy is the stage's dominant allocation;
-    // charge it against the query budget for the stage's lifetime so a
-    // too-small budget trips here rather than in the OS allocator.
+    AQP_ASSIGN_OR_RETURN(Table design_table, WithDesignColumns(&sample));
+    // The design-carrying sample is the stage's dominant allocation; charge
+    // it against the query budget for the stage's lifetime so a too-small
+    // budget trips here rather than in the OS allocator.
     AQP_ASSIGN_OR_RETURN(
         ScopedMemoryCharge stage_charge,
         ScopedMemoryCharge::Make(options_.exec.memory,
@@ -374,18 +289,17 @@ Result<ApproxResult> ApproxExecutor::Execute(const sql::PreparedQuery& query,
     Catalog staged = *catalog_;
     staged.RegisterOrReplace(target_table,
                              std::make_shared<Table>(std::move(design_table)));
-    AQP_ASSIGN_OR_RETURN(sql::BoundQuery flat_bound, sql::Bind(flat, staged));
     ExecStats stats;
     stats.parallel.MergeFrom(sampler_stats);
-    AQP_ASSIGN_OR_RETURN(Table flat_out,
-                         aqp::Execute(flat_bound.plan, staged, &stats, trace,
+    AQP_ASSIGN_OR_RETURN(Table output,
+                         aqp::Execute(stage_plan.plan, staged, &stats, trace,
                                       options_.exec));
     obs::TraceSpan estimate_span = obs::MaybeSpan(trace, "estimate");
-    AQP_ASSIGN_OR_RETURN(Sample joined,
-                         ReconstituteSample(std::move(flat_out), sample));
+    AQP_RETURN_IF_ERROR(AdoptStageOutput(std::move(output), &sample));
     AQP_ASSIGN_OR_RETURN(GroupedEstimates estimates,
-                         EstimateGroupedAggregates(joined, group_exprs,
-                                                   agg_specs));
+                         EstimateGroupedAggregates(sample,
+                                                   stage_plan.group_exprs,
+                                                   stage_plan.aggs));
     estimate_span.AddAttr("groups",
                           static_cast<uint64_t>(estimates.num_groups));
     return std::make_pair(std::move(estimates), stats);

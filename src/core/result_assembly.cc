@@ -8,9 +8,7 @@
 
 namespace aqp {
 namespace core {
-namespace {
 
-// Counts occurrences of each aggregate display inside one select item.
 void CountAggOccurrences(const sql::SqlExprPtr& e,
                          std::unordered_map<std::string, int>* counts) {
   if (e == nullptr) return;
@@ -20,8 +18,6 @@ void CountAggOccurrences(const sql::SqlExprPtr& e,
   }
   for (const sql::SqlExprPtr& c : e->children) CountAggOccurrences(c, counts);
 }
-
-}  // namespace
 
 Result<Table> MaterializeAggTable(const GroupedEstimates& estimates,
                                   const sql::BoundQuery& bound) {

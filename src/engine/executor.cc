@@ -94,14 +94,15 @@ Result<BatchView> ExecBatch(const PlanPtr& plan, ExecContext& ctx);
 // Materializes `t` behind a shared_ptr, charging the query's MemoryTracker
 // (when one is bound) for the table's footprint until the last reference
 // dies. Operator OUTPUTS go through here; catalog base tables do not (they
-// are shared storage, not query-owned memory).
+// are shared storage, not query-owned memory). The table itself is not
+// const, so Execute may move a root it solely owns out to the caller.
 Result<TablePtr> TrackTable(Table&& t, ExecContext& ctx,
                             std::string_view what) {
   MemoryTracker* memory = ctx.options.memory;
   if (memory == nullptr) {
-    return std::make_shared<const Table>(std::move(t));
+    return TablePtr(std::make_shared<Table>(std::move(t)));
   }
-  auto owned = std::make_unique<const Table>(std::move(t));
+  auto owned = std::make_unique<Table>(std::move(t));
   const uint64_t bytes = owned->ApproxBytes();
   AQP_RETURN_IF_ERROR(memory->TryCharge(bytes, what));
   return TablePtr(owned.release(), [memory, bytes](const Table* p) {
@@ -1144,6 +1145,12 @@ Result<Table> Execute(const PlanPtr& plan, const Catalog& catalog,
     steals->Increment(effective->parallel.steals - before.parallel.steals);
     extents->Increment(effective->extents_total - before.extents_total);
     pruned->Increment(effective->extents_pruned - before.extents_pruned);
+  }
+  // A root the query built (the root gather or an operator's output) is
+  // handed over without a copy; only a root that still aliases a table held
+  // elsewhere, a bare scan of a catalog table, is copied.
+  if (result.use_count() == 1) {
+    return std::move(const_cast<Table&>(*result));
   }
   return *result;
 }

@@ -273,6 +273,24 @@ TEST(ApproxExecutorTest, BernoulliRowMethodAlsoWorks) {
   EXPECT_NEAR(r.table.column(0).DoubleAt(0), truth, std::fabs(truth) * 0.03);
 }
 
+// A stage samples its table once, so a query that scans the sampled table
+// twice is answered exactly instead of failing.
+TEST(ApproxExecutorTest, SelfJoinOfSampledTableFallsBack) {
+  Catalog cat = workload::GenerateLineitemLike(20000, 5).value();
+  const char* kExact =
+      "SELECT SUM(a.quantity) AS s FROM lineitem AS a JOIN lineitem AS b "
+      "ON a.orderkey = b.orderkey";
+  Table exact = sql::ExecuteSql(kExact, cat).value();
+  ApproxExecutor exec(&cat, FastOptions());
+  Result<ApproxResult> r =
+      exec.Execute(std::string(kExact) + " WITH ERROR 5% CONFIDENCE 95%");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_FALSE(r.value().approximated);
+  EXPECT_NE(r.value().fallback_reason.find("lineitem"), std::string::npos)
+      << r.value().fallback_reason;
+  EXPECT_TRUE(testutil::TablesBitIdentical(exact, r.value().table));
+}
+
 }  // namespace
 }  // namespace core
 }  // namespace aqp

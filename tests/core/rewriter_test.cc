@@ -6,9 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include "engine/executor.h"
 #include "sampling/bernoulli.h"
 #include "sampling/ht_estimator.h"
+#include "sql/binder.h"
 #include "test_util.h"
+#include "workload/datagen.h"
 
 namespace aqp {
 namespace core {
@@ -23,23 +26,13 @@ PlanPtr TestPlan() {
       {}, {}, {{AggKind::kSum, Col("x"), "s"}});
 }
 
-TEST(RewriterTest, InjectSampleHitsScan) {
-  SampleSpec spec{SampleSpec::Method::kSystemBlock, 0.05, 7, 512};
-  PlanPtr rewritten = InjectSample(TestPlan(), "fact", spec).value();
-  std::string rendered = rewritten->ToString();
-  EXPECT_NE(rendered.find("Scan(fact SAMPLE SYSTEM 5%)"), std::string::npos);
-  EXPECT_NE(rendered.find("Scan(dim)"), std::string::npos);
-}
-
-TEST(RewriterTest, InjectSampleMissingTableFails) {
-  SampleSpec spec{SampleSpec::Method::kBernoulliRow, 0.05, 7, 512};
-  EXPECT_EQ(InjectSample(TestPlan(), "ghost", spec).status().code(),
-            StatusCode::kNotFound);
-}
-
 TEST(RewriterTest, StripSamplesRemovesAll) {
   SampleSpec spec{SampleSpec::Method::kBernoulliRow, 0.05, 7, 512};
-  PlanPtr sampled = InjectSample(TestPlan(), "fact", spec).value();
+  PlanPtr sampled = PlanNode::Aggregate(
+      PlanNode::Join(PlanNode::Scan("fact", spec), PlanNode::Scan("dim", spec),
+                     JoinType::kInner, {"fk"}, {"pk"}),
+      {}, {}, {{AggKind::kSum, Col("x"), "s"}});
+  ASSERT_NE(sampled->ToString().find("SAMPLE"), std::string::npos);
   PlanPtr stripped = StripSamples(sampled);
   EXPECT_EQ(stripped->ToString().find("SAMPLE"), std::string::npos);
 }
@@ -51,13 +44,86 @@ TEST(RewriterTest, ScannedTablesInOrder) {
   EXPECT_EQ(tables[1], "dim");
 }
 
-TEST(RewriterTest, ScaleFactorMultiplies) {
-  EXPECT_DOUBLE_EQ(SampleScaleFactor(TestPlan()), 1.0);
-  SampleSpec s1{SampleSpec::Method::kBernoulliRow, 0.1, 7, 512};
-  SampleSpec s2{SampleSpec::Method::kBernoulliRow, 0.5, 7, 512};
-  PlanPtr p = InjectSample(TestPlan(), "fact", s1).value();
-  p = InjectSample(p, "dim", s2).value();
-  EXPECT_NEAR(SampleScaleFactor(p), 20.0, 1e-12);
+// The stage plan of an FK join: the sampled fact table's design columns
+// ride through the join next to the group key and the aggregate argument,
+// and the query's own TABLESAMPLE is dropped (the stage draws its sample).
+TEST(RewriterTest, StagePlanCarriesDesignColumnsThroughJoin) {
+  Catalog catalog = workload::GenerateLineitemLike(4000, 9).value();
+  sql::BoundQuery bound =
+      sql::BindSql(
+          "SELECT o.orderpriority, SUM(l.extendedprice * (1 - l.discount)) "
+          "AS rev, COUNT(*) AS n FROM lineitem AS l TABLESAMPLE SYSTEM (10) "
+          "JOIN orders AS o ON l.orderkey = o.orderkey "
+          "GROUP BY o.orderpriority",
+          catalog)
+          .value();
+  StagePlan stage = BuildStagePlan(bound.plan, "lineitem").value();
+  EXPECT_EQ(stage.plan->ToString().find("SAMPLE"), std::string::npos);
+  ASSERT_EQ(stage.group_exprs.size(), 1u);
+  ASSERT_EQ(stage.aggs.size(), 2u);
+  EXPECT_EQ(stage.aggs[0].kind, AggKind::kSum);
+  EXPECT_EQ(stage.aggs[1].kind, AggKind::kCountStar);
+  EXPECT_EQ(stage.aggs[1].arg, nullptr);
+
+  // Stage the whole table with unit = row and weight = row / 2, so every
+  // output row names the lineitem row it came from.
+  std::shared_ptr<const Table> lineitem = catalog.Get("lineitem").value();
+  Schema schema = lineitem->schema();
+  schema.AddField({kUnitColumn, DataType::kInt64});
+  schema.AddField({kWeightColumn, DataType::kDouble});
+  std::vector<Column> cols;
+  for (size_t c = 0; c < lineitem->num_columns(); ++c) {
+    cols.push_back(lineitem->column(c));
+  }
+  Column unit(DataType::kInt64);
+  Column weight(DataType::kDouble);
+  for (size_t i = 0; i < lineitem->num_rows(); ++i) {
+    unit.AppendInt64(static_cast<int64_t>(i));
+    weight.AppendDouble(static_cast<double>(i) / 2.0);
+  }
+  cols.push_back(std::move(unit));
+  cols.push_back(std::move(weight));
+  catalog.RegisterOrReplace(
+      "lineitem", std::make_shared<Table>(
+                      Table::Make(std::move(schema), std::move(cols)).value()));
+  Table out = Execute(stage.plan, catalog).value();
+
+  ASSERT_EQ(out.num_columns(), 4u);
+  EXPECT_EQ(out.schema().field(0).name, "__g0");
+  EXPECT_EQ(out.schema().field(1).name, "__arg0");
+  EXPECT_EQ(out.schema().field(2).name, kUnitColumn);
+  EXPECT_EQ(out.schema().field(3).name, kWeightColumn);
+  Table joined = sql::ExecuteSql(
+                     "SELECT COUNT(*) AS n FROM lineitem AS l JOIN orders AS "
+                     "o ON l.orderkey = o.orderkey",
+                     catalog)
+                     .value();
+  ASSERT_EQ(static_cast<int64_t>(out.num_rows()), joined.column(0).Int64At(0));
+  ASSERT_GT(out.num_rows(), 0u);
+  const size_t price = lineitem->ColumnIndex("extendedprice").value();
+  const size_t discount = lineitem->ColumnIndex("discount").value();
+  for (size_t i = 0; i < out.num_rows(); ++i) {
+    const int64_t row = out.column(2).Int64At(i);
+    ASSERT_GE(row, 0);
+    ASSERT_LT(static_cast<size_t>(row), lineitem->num_rows());
+    EXPECT_EQ(out.column(3).DoubleAt(i), static_cast<double>(row) / 2.0);
+    const size_t r = static_cast<size_t>(row);
+    EXPECT_DOUBLE_EQ(out.column(1).DoubleAt(i),
+                     lineitem->column(price).DoubleAt(r) *
+                         (1 - lineitem->column(discount).DoubleAt(r)));
+  }
+}
+
+TEST(RewriterTest, StagePlanNeedsAnAggregateOverTheTable) {
+  Catalog catalog = workload::GenerateLineitemLike(1000, 9).value();
+  sql::BoundQuery plain =
+      sql::BindSql("SELECT quantity FROM lineitem", catalog).value();
+  EXPECT_EQ(BuildStagePlan(plain.plan, "lineitem").status().code(),
+            StatusCode::kInvalidArgument);
+  sql::BoundQuery agg =
+      sql::BindSql("SELECT SUM(quantity) AS s FROM lineitem", catalog).value();
+  EXPECT_EQ(BuildStagePlan(agg.plan, "orders").status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 // The statistical claim behind sampler pushdown: Filter(Sample(T)) and

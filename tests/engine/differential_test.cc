@@ -414,9 +414,19 @@ TEST(DifferentialTest, ApproxExecutorCiBoundsBitIdenticalAcrossPaths) {
       "WITH ERROR 10% CONFIDENCE 95%",
       "SELECT SUM(extendedprice * (1 - discount)) AS rev FROM lineitem "
       "WHERE quantity BETWEEN 5 AND 40 WITH ERROR 5% CONFIDENCE 95%",
+      "SELECT o.orderpriority, SUM(l.extendedprice) AS s, COUNT(*) AS n "
+      "FROM lineitem AS l JOIN orders AS o ON l.orderkey = o.orderkey "
+      "GROUP BY o.orderpriority WITH ERROR 10% CONFIDENCE 95%",
+      "SELECT SUM(quantity) AS q FROM lineitem TABLESAMPLE SYSTEM (50) "
+      "WITH ERROR 10% CONFIDENCE 95%",
   };
   auto run = [&](const char* sql, ExecPath path, size_t threads) {
+    // Small blocks and a roomy max_rate let every query approximate at this
+    // table size, so the comparison covers the estimates and their CIs, not
+    // only the exact fallback.
     core::AqpOptions options;
+    options.block_size = 64;
+    options.max_rate = 0.8;
     options.exec.path = path;
     options.exec.num_threads = threads;
     core::ApproxExecutor executor(&catalog, options);
@@ -425,6 +435,8 @@ TEST(DifferentialTest, ApproxExecutorCiBoundsBitIdenticalAcrossPaths) {
   for (const char* sql : kQueries) {
     Result<core::ApproxResult> reference = run(sql, ExecPath::kScalar, 1);
     ASSERT_TRUE(reference.ok()) << sql << ": " << reference.status().ToString();
+    EXPECT_TRUE(reference.value().approximated)
+        << sql << ": " << reference.value().fallback_reason;
     for (size_t threads : kThreadCounts) {
       Result<core::ApproxResult> got =
           run(sql, ExecPath::kVectorized, threads);
