@@ -12,7 +12,6 @@
 #include "common/memory_tracker.h"
 #include "core/contract.h"
 #include "core/estimate.h"
-#include "core/missing_groups.h"
 #include "core/result_assembly.h"
 #include "core/rewriter.h"
 #include "obs/metrics.h"
@@ -302,6 +301,11 @@ Result<ApproxResult> ApproxExecutor::Execute(const sql::PreparedQuery& query,
                                                    stage_plan.aggs));
     estimate_span.AddAttr("groups",
                           static_cast<uint64_t>(estimates.num_groups));
+    if (!estimates.units_per_group.empty()) {
+      stage_span.AddAttr("min_group_units",
+                         *std::min_element(estimates.units_per_group.begin(),
+                                           estimates.units_per_group.end()));
+    }
     return std::make_pair(std::move(estimates), stats);
   };
 
@@ -311,25 +315,24 @@ Result<ApproxResult> ApproxExecutor::Execute(const sql::PreparedQuery& query,
       options_.method == SampleSpec::Method::kSystemBlock
           ? base->NumBlocks(options_.block_size)
           : base->num_rows();
-  double pilot_rate = options_.pilot_rate;
-  // The pilot itself must see enough units for its variance estimates to
-  // mean anything.
-  if (population_units > 0) {
-    pilot_rate = std::max(
-        pilot_rate, std::min(0.5, static_cast<double>(options_.min_units) /
-                                      static_cast<double>(population_units)));
+  // Both stages must expect at least min_units units. When that floor alone
+  // is above max_rate, no plan can be feasible, so decline before paying
+  // for a pilot.
+  const double unit_floor =
+      population_units > 0
+          ? std::min(1.0, static_cast<double>(options_.min_units) /
+                              static_cast<double>(population_units))
+          : 0.0;
+  if (unit_floor > options_.max_rate) {
+    return fallback("sampling plan infeasible before the pilot: " +
+                    std::to_string(options_.min_units) + " units of " +
+                    target_table + " need rate " +
+                    std::to_string(unit_floor) + ", above max feasible rate " +
+                    std::to_string(options_.max_rate) +
+                    "; exact execution is cheaper");
   }
-  if (!stmt.group_by.empty()) {
-    pilot_rate = std::max(
-        pilot_rate,
-        BlockRateForGroupCoverage(options_.min_group_rows,
-                                  options_.method ==
-                                          SampleSpec::Method::kSystemBlock
-                                      ? options_.block_size
-                                      : 1,
-                                  /*delta=*/0.05));
-    pilot_rate = std::min(pilot_rate, 0.5);
-  }
+  const double pilot_rate =
+      std::max(options_.pilot_rate, std::min(0.5, unit_floor));
   AQP_ASSIGN_OR_RETURN(
       auto pilot,
       run_stage("pilot", pilot_rate, options_.seed + invocation_ * 2));
@@ -370,6 +373,9 @@ Result<ApproxResult> ApproxExecutor::Execute(const sql::PreparedQuery& query,
   prof.worst_required_rate = plan.worst_required_rate;
   plan_span.AddAttr("estimates", static_cast<uint64_t>(num_estimates));
   plan_span.AddAttr("planned_rate", plan.rate);
+  if (!pilot.first.units_per_group.empty()) {
+    plan_span.AddAttr("coverage_rate", plan.coverage_rate);
+  }
   plan_span.AddAttr("feasible", plan.feasible ? "true" : "false");
   plan_span.End();
   if (!plan.feasible) {

@@ -19,10 +19,12 @@ namespace core {
 
 /// Knobs of the approximate executor.
 struct AqpOptions {
-  /// Pilot-stage sampling rate (raised automatically for GROUP BY queries to
-  /// keep groups of at least `min_group_rows` covered w.p. 1 - 0.05).
+  /// Pilot-stage sampling rate, raised to min_units / (units in the table)
+  /// so the pilot sees enough units for its variance estimates. A table
+  /// whose floor exceeds `max_rate` is answered exactly without a pilot.
+  /// GROUP BY queries pilot at the same rate: group coverage is a term of
+  /// the plan (sample_planner.h), measured from the pilot's groups.
   double pilot_rate = 0.01;
-  uint64_t min_group_rows = 100;
 
   /// Sampling method for both stages. Block sampling is the default: it is
   /// what actually skips I/O; the executor's estimators stay valid because
@@ -109,8 +111,8 @@ Result<ApproxResult> PrepareAndRun(
 ///      variance.
 ///   2. PLAN: allocate the user's joint (error, confidence) contract across
 ///      all estimates (Boole), invert the HT variance law for the smallest
-///      sufficient rate, and decline (exact fallback) when sampling cannot
-///      win.
+///      sufficient rate, raise it until every group the pilot saw is
+///      covered, and decline (exact fallback) when sampling cannot win.
 ///   3. FINAL: resample at the planned rate, re-estimate, and assemble the
 ///      original query's output shape with per-cell confidence intervals.
 ///

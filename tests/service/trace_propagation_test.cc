@@ -14,6 +14,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "service/query_service.h"
+#include "test_util.h"
 #include "workload/datagen.h"
 
 namespace aqp {
@@ -24,14 +25,7 @@ constexpr const char* kSumQuery =
     "SELECT SUM(extendedprice) AS s FROM lineitem WITH ERROR 5% "
     "CONFIDENCE 95%";
 
-const obs::SpanRecord* FindSpan(const obs::SpanRecord& node,
-                                const std::string& name) {
-  if (node.name == name) return &node;
-  for (const auto& child : node.children) {
-    if (const obs::SpanRecord* hit = FindSpan(*child, name)) return hit;
-  }
-  return nullptr;
-}
+using testutil::FindSpan;
 
 void ExpectAllClosed(const obs::SpanRecord& node) {
   EXPECT_FALSE(node.open) << "span still open: " << node.name;

@@ -11,12 +11,24 @@
 
 #include "common/random.h"
 #include "engine/exec_options.h"
+#include "obs/trace.h"
 #include "sampling/bernoulli.h"
 #include "sampling/ht_estimator.h"
 #include "storage/table.h"
 
 namespace aqp {
 namespace testutil {
+
+/// First span named `name` in the subtree under `node` (depth first), or
+/// null.
+inline const obs::SpanRecord* FindSpan(const obs::SpanRecord& node,
+                                       const std::string& name) {
+  if (node.name == name) return &node;
+  for (const auto& child : node.children) {
+    if (const obs::SpanRecord* hit = FindSpan(*child, name)) return hit;
+  }
+  return nullptr;
+}
 
 /// Bit-identical cell comparison for the differential harness: NULL flags
 /// must match, and non-null values must be equal — doubles by BIT PATTERN
