@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/check.h"
+#include "stats/distributions.h"
 
 namespace aqp {
 namespace stats {
@@ -46,6 +47,31 @@ double RateForGroupCoverage(uint64_t group_size, double delta) {
   // (1-p)^m <= delta  <=>  p >= 1 - delta^(1/m).
   double p = 1.0 - std::pow(delta, 1.0 / static_cast<double>(group_size));
   return std::min(1.0, std::max(0.0, p));
+}
+
+uint64_t UnitSpanLowerBound(uint64_t seen, double rate, uint64_t population,
+                            double alpha) {
+  AQP_CHECK(seen > 0 && seen <= population);
+  AQP_CHECK(rate > 0.0 && rate < 1.0);
+  AQP_CHECK(alpha > 0.0 && alpha < 1.0);
+  // P(Binomial(B, rate) >= seen) = I_rate(seen, B - seen + 1), increasing
+  // in B: bisect for the smallest B whose tail exceeds alpha.
+  const double a = static_cast<double>(seen);
+  auto tail = [&](uint64_t b) {
+    return RegularizedBeta(rate, a, static_cast<double>(b - seen + 1));
+  };
+  uint64_t lo = seen;
+  uint64_t hi = population;
+  if (tail(hi) <= alpha) return population;
+  while (lo < hi) {
+    const uint64_t mid = lo + (hi - lo) / 2;
+    if (tail(mid) > alpha) {
+      hi = mid;
+    } else {
+      lo = mid + 1;
+    }
+  }
+  return lo;
 }
 
 }  // namespace stats

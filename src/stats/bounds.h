@@ -27,8 +27,16 @@ double ChernoffUpperTail(uint64_t n, double p, double delta);
 double GroupMissProbability(uint64_t group_size, double rate);
 
 /// Minimum Bernoulli sampling rate so a group with at least `group_size` rows
-/// is included with probability >= 1 - delta.
+/// (or sampling units) is included with probability >= 1 - delta.
 double RateForGroupCoverage(uint64_t group_size, double delta);
+
+/// Lower confidence bound on the number of units B that hold a group, when
+/// Bernoulli(`rate`) unit sampling drew `seen` > 0 of them from a table of
+/// `population` units: the smallest B in [seen, population] with
+/// P(Binomial(B, rate) >= seen) > alpha, so P(bound > B) <= alpha. A group
+/// seen in few units may span only a few, whatever `seen / rate` suggests.
+uint64_t UnitSpanLowerBound(uint64_t seen, double rate, uint64_t population,
+                            double alpha);
 
 }  // namespace stats
 }  // namespace aqp

@@ -89,6 +89,43 @@ TEST(GroupCoverageTest, EmpiricalCoverage) {
   EXPECT_LE(miss_rate, kDelta + 0.02);
 }
 
+
+// The bound holds at its level for every true span: summing the binomial
+// law of `seen` over the outcomes whose bound exceeds the span gives at
+// most alpha.
+TEST(UnitSpanLowerBoundTest, CoversAtItsLevel) {
+  const double kRate = 0.05;
+  const double kAlpha = 0.05;
+  const uint64_t kPopulation = 400;
+  for (uint64_t span : {1u, 5u, 20u, 60u, 200u, 400u}) {
+    double above = 0.0;  // P(bound > span).
+    double pmf = std::pow(1.0 - kRate, static_cast<double>(span));
+    for (uint64_t seen = 0; seen <= span; ++seen) {
+      if (seen > 0 &&
+          UnitSpanLowerBound(seen, kRate, kPopulation, kAlpha) > span) {
+        above += pmf;
+      }
+      pmf *= static_cast<double>(span - seen) / static_cast<double>(seen + 1) *
+             kRate / (1.0 - kRate);
+    }
+    EXPECT_LE(above, kAlpha) << "span " << span;
+  }
+}
+
+TEST(UnitSpanLowerBoundTest, GrowsWithSeenAndStaysInRange) {
+  uint64_t last = 0;
+  for (uint64_t seen = 1; seen <= 30; ++seen) {
+    const uint64_t bound = UnitSpanLowerBound(seen, 0.03, 1000, 0.025);
+    EXPECT_GE(bound, seen);
+    EXPECT_GT(bound, last);
+    last = bound;
+  }
+  // One unit seen cannot rule out a span of one.
+  EXPECT_EQ(UnitSpanLowerBound(1, 0.03, 1000, 0.025), 1u);
+  // More units seen than the population makes likely: capped at it.
+  EXPECT_EQ(UnitSpanLowerBound(30, 0.03, 40, 0.025), 40u);
+}
+
 }  // namespace
 }  // namespace stats
 }  // namespace aqp
