@@ -363,9 +363,13 @@ Result<core::ApproxResult> QueryService::RunAdmitted(
 
   // Result cache: identical (canonical SQL, table versions, contract) →
   // answer from memory. The fingerprint pins table versions, so
-  // appends/replaces invalidate by making old keys unreachable.
+  // appends/replaces invalidate by making old keys unreachable. A
+  // submission without a deadline that misses while an identical one
+  // executes waits for that answer instead of computing it again; one with
+  // a deadline never waits, as its deadline clock starts only at execution.
   uint64_t fingerprint = 0;
   const bool fingerprint_ok = versions_ok && options_.use_result_cache;
+  ResultCache::Claim claim;
   if (fingerprint_ok) {
     obs::TraceSpan probe_span = obs::MaybeSpan(trace, "result-cache");
     ContractFingerprint contract;
@@ -374,9 +378,17 @@ Result<core::ApproxResult> QueryService::RunAdmitted(
     contract.seed = gopts.aqp.seed;
     contract.confidence = gopts.confidence;
     fingerprint = FingerprintQuery(query.key, versions, contract);
-    if (std::shared_ptr<const core::ApproxResult> cached =
-            result_cache_.Lookup(fingerprint)) {
+    ResultCache::Probe probe;
+    if (gopts.deadline_ms < 0) {
+      probe = result_cache_.LookupOrClaim(fingerprint);
+    } else {
+      probe.result = result_cache_.Lookup(fingerprint);
+    }
+    claim = std::move(probe.claim);
+    if (const std::shared_ptr<const core::ApproxResult>& cached =
+            probe.result) {
       probe_span.AddAttr("hit", "true");
+      if (probe.waited) probe_span.AddAttr("coalesced", "true");
       probe_span.End();
       core::ApproxResult result = *cached;  // Deep copy; cache stays immutable.
       // The entry may have been stored by a differently spelled variant.
@@ -537,6 +549,7 @@ Result<core::ApproxResult> QueryService::RunAdmitted(
   if (fingerprint_ok && r.profile.degradation_rung == 0) {
     result_cache_.Insert(fingerprint, r);
   }
+  claim.Release();
   StampProfile(&r, wait_seconds, queue_depth, std::move(cache_source), trace);
   query_log_.Append(MakeEvent(submission.sql, session.id(), "ok", wait_seconds,
                               queue_depth, wall_seconds, &r.profile));
@@ -587,6 +600,8 @@ void QueryService::PublishStats() const {
   set("service.admission.admitted", static_cast<double>(s.admission.admitted));
   set("service.cache.bytes", static_cast<double>(s.cache_bytes));
   set("service.result_cache.hits", static_cast<double>(s.result_cache.hits));
+  set("service.result_cache.coalesced",
+      static_cast<double>(s.result_cache.coalesced));
   set("service.result_cache.misses",
       static_cast<double>(s.result_cache.misses));
   set("service.result_cache.entries",

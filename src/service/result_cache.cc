@@ -48,6 +48,63 @@ std::shared_ptr<const core::ApproxResult> ResultCache::Lookup(
   return it->second.result;
 }
 
+ResultCache::Probe ResultCache::LookupOrClaim(uint64_t fingerprint) {
+  Probe probe;
+  std::unique_lock<std::mutex> lock(mu_);
+  auto it = entries_.find(fingerprint);
+  if (it == entries_.end()) {
+    auto flight = in_flight_.find(fingerprint);
+    if (flight != in_flight_.end()) {
+      std::shared_ptr<Flight> f = flight->second;
+      f->cv.wait(lock, [&f] { return f->done; });
+      probe.waited = true;
+      it = entries_.find(fingerprint);
+    }
+  }
+  if (it != entries_.end()) {
+    ++hits_;
+    if (probe.waited) ++coalesced_;
+    lru_.splice(lru_.begin(), lru_, it->second.lru_it);
+    probe.result = it->second.result;
+    return probe;
+  }
+  ++misses_;
+  if (!probe.waited) {
+    in_flight_.emplace(fingerprint, std::make_shared<Flight>());
+    probe.claim = Claim(this, fingerprint);
+  }
+  return probe;
+}
+
+ResultCache::Claim& ResultCache::Claim::operator=(Claim&& other) noexcept {
+  if (this != &other) {
+    Release();
+    cache_ = other.cache_;
+    fingerprint_ = other.fingerprint_;
+    other.cache_ = nullptr;
+  }
+  return *this;
+}
+
+void ResultCache::Claim::Release() {
+  if (cache_ == nullptr) return;
+  cache_->ReleaseClaim(fingerprint_);
+  cache_ = nullptr;
+}
+
+void ResultCache::ReleaseClaim(uint64_t fingerprint) {
+  std::shared_ptr<Flight> f;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = in_flight_.find(fingerprint);
+    if (it == in_flight_.end()) return;
+    f = std::move(it->second);
+    in_flight_.erase(it);
+    f->done = true;
+  }
+  f->cv.notify_all();
+}
+
 void ResultCache::Insert(uint64_t fingerprint, core::ApproxResult result) {
   if (!gov::FaultInjector::Global().MaybeFail("result_cache.insert").ok()) {
     std::lock_guard<std::mutex> lock(mu_);
@@ -112,6 +169,7 @@ ResultCacheStats ResultCache::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   ResultCacheStats s;
   s.hits = hits_;
+  s.coalesced = coalesced_;
   s.misses = misses_;
   s.insertions = insertions_;
   s.insert_faults = insert_faults_;

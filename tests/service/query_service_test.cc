@@ -255,6 +255,55 @@ TEST_F(QueryServiceTest, ConcurrentSessionsAllComplete) {
   EXPECT_EQ(service.admission_stats().inflight, 0u);
 }
 
+TEST_F(QueryServiceTest, ConcurrentIdenticalMissesExecuteOnce) {
+  gov::ScopedFaultInjection quiet;
+  QueryService service(&catalog_, Options());
+  auto session = service.OpenSession();
+
+  // However the four submissions interleave, the first miss claims the
+  // fingerprint and every other one takes its answer: one execution.
+  constexpr int kCopies = 4;
+  std::vector<std::future<Result<core::ApproxResult>>> futures;
+  for (int i = 0; i < kCopies; ++i) {
+    futures.push_back(service.Submit(session, {kSumQuery}));
+  }
+  std::vector<core::ApproxResult> answers;
+  for (auto& f : futures) {
+    auto r = f.get();
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    answers.push_back(std::move(r.value()));
+  }
+  ResultCacheStats stats = service.result_cache_stats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.insertions, 1u);
+  EXPECT_EQ(stats.hits, static_cast<uint64_t>(kCopies - 1));
+  EXPECT_LE(stats.coalesced, stats.hits);
+  for (const core::ApproxResult& a : answers) {
+    ASSERT_FALSE(a.cis.empty());
+    EXPECT_EQ(a.cis[0][0].estimate, answers[0].cis[0][0].estimate);
+  }
+}
+
+TEST_F(QueryServiceTest, SubmissionsWithADeadlineNeverWait) {
+  gov::ScopedFaultInjection quiet;
+  QueryService service(&catalog_, Options());
+  auto session = service.OpenSession();
+
+  // Each copy either hits a finished answer or executes itself; none
+  // claims, so none is ever told to wait.
+  Submission submission{kSumQuery};
+  submission.deadline_ms = 60000;
+  std::vector<std::future<Result<core::ApproxResult>>> futures;
+  for (int i = 0; i < 4; ++i) {
+    futures.push_back(service.Submit(session, submission));
+  }
+  for (auto& f : futures) ASSERT_TRUE(f.get().ok());
+  ResultCacheStats stats = service.result_cache_stats();
+  EXPECT_EQ(stats.coalesced, 0u);
+  EXPECT_EQ(stats.hits + stats.misses, 4u);
+  EXPECT_EQ(stats.insertions, stats.misses);
+}
+
 TEST_F(QueryServiceTest, SubmitReturnsWorkingFutures) {
   gov::ScopedFaultInjection quiet;
   QueryService service(&catalog_, Options());

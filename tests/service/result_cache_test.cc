@@ -1,5 +1,8 @@
 #include "service/result_cache.h"
 
+#include <chrono>
+#include <thread>
+
 #include <gtest/gtest.h>
 
 #include "test_util.h"
@@ -111,6 +114,56 @@ TEST(ResultCacheTest, ClearReleasesTracker) {
   EXPECT_EQ(tracker.used(), 0u);
   EXPECT_EQ(cache.stats().entries, 0u);
   EXPECT_EQ(cache.Lookup(1), nullptr);
+}
+
+TEST(ResultCacheTest, ClaimHolderAnswersConcurrentMisses) {
+  ResultCache cache(0);
+  ResultCache::Probe first = cache.LookupOrClaim(7);
+  EXPECT_EQ(first.result, nullptr);
+  EXPECT_FALSE(first.waited);
+
+  // The second caller either waits for the claim or, if it runs after the
+  // release, hits the inserted entry: it never misses.
+  std::shared_ptr<const core::ApproxResult> seen;
+  std::thread other([&] { seen = cache.LookupOrClaim(7).result; });
+  // Time for the other caller to start waiting; the checks hold either way.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  cache.Insert(7, MakeResult(4.5));
+  first.claim.Release();
+  other.join();
+
+  ASSERT_NE(seen, nullptr);
+  EXPECT_EQ(seen, cache.Lookup(7));
+  ResultCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.hits, 2u);
+  EXPECT_LE(stats.coalesced, 1u);
+}
+
+TEST(ResultCacheTest, WaiterOfAClaimWithoutAnswerMissesOnce) {
+  ResultCache cache(0);
+  ResultCache::Probe first = cache.LookupOrClaim(9);
+  std::thread other([&] { EXPECT_EQ(cache.LookupOrClaim(9).result, nullptr); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  first.claim.Release();  // The holder failed: nothing inserted.
+  other.join();
+
+  EXPECT_EQ(cache.stats().misses, 2u);
+  EXPECT_EQ(cache.stats().hits, 0u);
+  // Every claim is released, so the next caller claims again.
+  ResultCache::Probe next = cache.LookupOrClaim(9);
+  EXPECT_FALSE(next.waited);
+  EXPECT_EQ(cache.stats().misses, 3u);
+}
+
+TEST(ResultCacheTest, MovedClaimReleasesOnce) {
+  ResultCache cache(0);
+  ResultCache::Claim held = cache.LookupOrClaim(3).claim;
+  ResultCache::Claim moved = std::move(held);
+  held.Release();  // Moved-from: no effect.
+  moved.Release();
+  moved.Release();
+  EXPECT_FALSE(cache.LookupOrClaim(3).waited);
 }
 
 }  // namespace
